@@ -1,79 +1,38 @@
-//! Batch-engine scaling benchmarks: lockstep lanes vs whole-machine forks,
-//! across a full lane-count ladder on both an ALU-bound and a memory-bound
-//! workload.
+//! Fork-engine benchmark: `Snapshot::run_many` over 1, 8 and 64 lanes of
+//! a memory-bound workload forked from one warmed snapshot.
 //!
-//! The interesting axis is lane count — the batch engine amortises decode,
-//! scheduling-structure allocation and (in sweep use) warmup across lanes,
-//! and its copy-on-write lane hierarchies share one cache image where the
-//! per-machine baseline deep-copies it per fork. The ladder makes the
-//! crossover visible: lockstep should at least match forked machines at
-//! every rung (it historically lost ~0.55× at 64 lanes when every lane
-//! cloned the full hierarchy and stepped in fixed 64-cycle slices), and
-//! the `lockstep-64lane` row in `BENCH_pipeline.json` gates the 64-lane
-//! ratio.
-//!
-//! Each rung benches its lockstep/forked pair *adjacently*: the ratio is
-//! the signal, and host-speed drift over a minutes-long bench run would
-//! swamp it if all lockstep rungs ran first and all forked rungs minutes
-//! later.
+//! Each lane forks the snapshot copy-on-write and runs to completion; the
+//! lanes share one decoded program and one scheduling context. Throughput
+//! is committed instructions across all lanes, so the rungs compare per
+//! lane cost as the lane count grows.
 //!
 //! Run untimed as a CI smoke test with `cargo bench --bench batch -- --test`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use racer_cpu::workloads::{alu_chain, memory_stream};
-use racer_cpu::{Backend, Cpu, CpuConfig, MachineBatch};
-use racer_isa::Program;
+use racer_cpu::workloads::memory_stream;
+use racer_cpu::{Backend, Cpu, CpuConfig};
 use racer_mem::HierarchyConfig;
 use std::hint::black_box;
 
-const LANE_COUNTS: [usize; 6] = [1, 8, 16, 32, 64, 128];
+const LANE_COUNTS: [usize; 3] = [1, 8, 64];
 
-/// The two workload shapes whose scaling behaviour differs: alu_chain
-/// barely touches memory (tiny COW footprint per lane), memory_stream
-/// cycles a multi-set working set (lanes materialise private chunks).
-fn workloads() -> [(&'static str, Program); 2] {
-    [("alu", alu_chain(500)), ("mem", memory_stream(500))]
-}
-
-fn warmed(prog: &Program) -> racer_cpu::Snapshot {
+fn bench_run_many(c: &mut Criterion) {
+    let prog = memory_stream(500);
     let mut cpu = Cpu::new(CpuConfig::coffee_lake(), HierarchyConfig::coffee_lake());
-    cpu.run_one(prog, Backend::EventDriven);
-    cpu.snapshot()
-}
-
-/// The full ladder: at every (workload, lane-count) rung, lockstep lanes
-/// inside one reusable `MachineBatch` vs the per-machine baseline (one
-/// whole-machine fork per lane), back to back.
-fn bench_lane_ladder(c: &mut Criterion) {
-    for (tag, prog) in workloads() {
-        let snap = warmed(&prog);
-        let dyn_instrs = snap.fork().run_one(&prog, Backend::EventDriven).committed;
-        let mut group = c.benchmark_group("batch");
-        group.sample_size(8);
-        for lanes in LANE_COUNTS {
-            group.throughput(Throughput::Elements(dyn_instrs * lanes as u64));
-            group.bench_function(format!("lockstep_{tag}_{lanes}_lanes"), |b| {
-                let mut batch = MachineBatch::from_snapshot(&snap);
-                b.iter(|| {
-                    for _ in 0..lanes {
-                        batch.push(&prog);
-                    }
-                    black_box(batch.run().len())
-                })
-            });
-            group.bench_function(format!("forked_machines_{tag}_{lanes}_lanes"), |b| {
-                b.iter(|| {
-                    let mut total = 0u64;
-                    for _ in 0..lanes {
-                        total += snap.fork().run_one(&prog, Backend::EventDriven).committed;
-                    }
-                    black_box(total)
-                })
-            });
-        }
-        group.finish();
+    cpu.run_one(&prog, Backend::EventDriven);
+    let snap = cpu.snapshot();
+    let dyn_instrs = snap.fork().run_one(&prog, Backend::EventDriven).committed;
+    let mut group = c.benchmark_group("run_many");
+    group.sample_size(8);
+    for lanes in LANE_COUNTS {
+        let progs = vec![prog.clone(); lanes];
+        group.throughput(Throughput::Elements(dyn_instrs * lanes as u64));
+        group.bench_function(format!("mem_{lanes}_lanes"), |b| {
+            b.iter(|| black_box(snap.run_many(&progs).len()))
+        });
     }
+    group.finish();
 }
 
-criterion_group!(batch, bench_lane_ladder);
+criterion_group!(batch, bench_run_many);
 criterion_main!(batch);

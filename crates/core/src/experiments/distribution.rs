@@ -3,7 +3,7 @@
 //! transmit-1 — "there is still almost no overlap between the two
 //! transmissions".
 
-use crate::experiments::{run_lanes_batched, TrialPath};
+use crate::experiments::run_lanes_batched;
 use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_isa::Program;
@@ -26,76 +26,43 @@ pub struct DistributionResult {
 /// Run `trials` reorder-magnifier transmissions per bit value on noisy
 /// machines, with the magnifier pattern repeated `rounds` times (the paper
 /// uses 4000).
+///
+/// The magnifier program depends only on rounds and L1 geometry —
+/// identical across every noisy machine — so all trials×2 lanes share one
+/// program (assembled and decoded once) and fan out through
+/// [`run_lanes_batched`].
 pub fn figure10(trials: usize, rounds: usize) -> DistributionResult {
-    figure10_on(trials, rounds, TrialPath::Batched).0
-}
-
-/// [`figure10`] with an explicit [`TrialPath`], additionally returning
-/// the total instructions the heavy magnifier runs committed (the work
-/// metric of the `scenario-e2e` perf rows). Both paths are
-/// bit-identical; they run the same trial grid, the batched path through
-/// one shared-program lockstep fan-out instead of one machine at a time.
-pub fn figure10_on(trials: usize, rounds: usize, path: TrialPath) -> (DistributionResult, u64) {
     let mut transmit1_ms = Vec::with_capacity(trials);
     let mut transmit0_ms = Vec::with_capacity(trials);
-    let mut committed = 0u64;
-    match path {
-        TrialPath::PerMachine => {
-            for t in 0..trials {
-                for a_first in [true, false] {
-                    let mut m = prepared_machine(t, a_first, rounds);
-                    let mag = PlruMagnifier::with(m.layout(), 5, rounds);
-                    // Exactly `mag.measure(&mut m, Reorder)`, with the
-                    // commit count exposed.
-                    let prog = mag.program(&m, PlruInput::Reorder);
-                    let r = m.run(&prog);
-                    committed += r.committed;
-                    push_ms(&mut transmit1_ms, &mut transmit0_ms, &m, a_first, r.cycles);
-                }
-            }
+    let mut machines = Vec::with_capacity(trials * 2);
+    for t in 0..trials {
+        for a_first in [true, false] {
+            machines.push(prepared_machine(t, a_first, rounds));
         }
-        TrialPath::Batched => {
-            // The magnifier program depends only on rounds and L1
-            // geometry — identical across every noisy machine — so all
-            // trials×2 lanes share one program (assembled and decoded
-            // once) and fan out through the lockstep engine.
-            let mut machines = Vec::with_capacity(trials * 2);
-            for t in 0..trials {
-                for a_first in [true, false] {
-                    machines.push(prepared_machine(t, a_first, rounds));
-                }
-            }
-            if let Some(first) = machines.first() {
-                let prog = PlruMagnifier::with(first.layout(), 5, rounds)
-                    .program(first, PlruInput::Reorder);
-                let lanes: Vec<(Machine, &Program)> =
-                    machines.into_iter().map(|m| (m, &prog)).collect();
-                let results = run_lanes_batched(&lanes);
-                for (i, r) in results.iter().enumerate() {
-                    committed += r.committed;
-                    let a_first = i % 2 == 0;
-                    push_ms(
-                        &mut transmit1_ms,
-                        &mut transmit0_ms,
-                        &lanes[i].0,
-                        a_first,
-                        r.cycles,
-                    );
-                }
-            }
+    }
+    if let Some(first) = machines.first() {
+        let prog =
+            PlruMagnifier::with(first.layout(), 5, rounds).program(first, PlruInput::Reorder);
+        let lanes: Vec<(Machine, &Program)> = machines.into_iter().map(|m| (m, &prog)).collect();
+        for (i, r) in run_lanes_batched(&lanes).iter().enumerate() {
+            let a_first = i % 2 == 0;
+            push_ms(
+                &mut transmit1_ms,
+                &mut transmit0_ms,
+                &lanes[i].0,
+                a_first,
+                r.cycles,
+            );
         }
     }
     let overlap = overlap_coefficient(&transmit1_ms, &transmit0_ms, 40);
     let (_, accuracy) = best_threshold(&transmit0_ms, &transmit1_ms);
-    (
-        DistributionResult {
-            transmit1_ms,
-            transmit0_ms,
-            overlap,
-            accuracy,
-        },
-        committed,
-    )
+    DistributionResult {
+        transmit1_ms,
+        transmit0_ms,
+        overlap,
+        accuracy,
+    }
 }
 
 /// Fresh noisy machine for a (trial, a_first) cell: DRAM jitter varies
@@ -205,19 +172,5 @@ mod tests {
     fn render_contains_metrics() {
         let r = figure10(2, 100);
         assert!(r.render().contains("overlap="));
-    }
-
-    #[test]
-    fn batched_and_per_machine_paths_agree_exactly() {
-        let (b, bc) = figure10_on(5, 300, TrialPath::Batched);
-        let (p, pc) = figure10_on(5, 300, TrialPath::PerMachine);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&b.transmit0_ms), bits(&p.transmit0_ms));
-        assert_eq!(bits(&b.transmit1_ms), bits(&p.transmit1_ms));
-        assert_eq!(b.overlap.to_bits(), p.overlap.to_bits());
-        assert_eq!(b.accuracy.to_bits(), p.accuracy.to_bits());
-        // Same trial grid on both paths: identical committed work.
-        assert!(bc > 0);
-        assert_eq!(bc, pc);
     }
 }

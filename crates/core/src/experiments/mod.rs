@@ -31,7 +31,7 @@ use racer_isa::Program;
 /// reference arm of the `scenario-e2e` perf rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrialPath {
-    /// Fork every prepared trial machine into lockstep batches — ordered
+    /// Fork every prepared trial machine and run the forks in ordered
     /// chunks across host cores, lanes sharing decode tables within each
     /// chunk ([`Machine::sweep`] over [`run_lanes_batched`]).
     Batched,
@@ -40,21 +40,20 @@ pub enum TrialPath {
     PerMachine,
 }
 
-/// Most lanes one lockstep batch takes: experiment lanes run magnifier
-/// programs with multi-set cache footprints, and past a handful of lanes
-/// the batch's aggregate working set falls out of the host cache on every
-/// lane switch. Measured on the distribution workload, 4–8 lanes per
-/// batch beats both one big batch and plain sequential runs; above the
-/// cap we simply make more chunks (which also feeds more chunks to
-/// [`par_map`]).
+/// Most lanes one [`Machine::sweep`] chunk takes. Chunks trade two costs:
+/// within a chunk, lanes share one decoded program and one reused
+/// scheduling context; across chunks, [`par_map`] balances load between
+/// host cores. Measured on `timer_mitigations_eval`, one `par_map` item
+/// per lane (a decode and a context allocation per lane) ran 1.24×
+/// slower, and one chunk per worker 1.61× slower (uneven trial lengths
+/// leave cores idle); chunks of at most 8 beat both.
 const LANES_PER_BATCH: usize = 8;
 
 /// Run prepared heterogeneous `(machine, program)` lanes batch-first:
 /// lanes are split into ordered chunks sized for the host core count
-/// (capped at [`LANES_PER_BATCH`] to keep each batch's footprint within
-/// the host cache), each chunk becomes one lockstep [`Machine::sweep`]
-/// batch, and the chunks fan out through [`par_map`] — the core-level ×
-/// lane-level parallelism composition every batched experiment shares.
+/// (capped at [`LANES_PER_BATCH`] for load balance), each chunk runs as
+/// one [`Machine::sweep`], and the chunks fan out through [`par_map`] —
+/// the fan-out every batched experiment shares.
 /// Results come back in lane order; chunking never changes them (lanes
 /// are independent machines).
 pub(crate) fn run_lanes_batched(lanes: &[(Machine, &Program)]) -> Vec<RunResult> {

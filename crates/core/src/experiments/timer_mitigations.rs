@@ -152,7 +152,7 @@ fn sweep_per_machine(
 /// machine's clock is zero when the magnifier runs and every observation
 /// a timer scores is `timer.measure(0, cycles_to_ns(cycles))` of the
 /// same cycle count. This path therefore runs the
-/// rounds × trial × bit cell grid exactly once through the lockstep
+/// rounds × trial × bit cell grid exactly once through the fork
 /// engine — one shared program per rounds value (the magnifier program
 /// depends only on rounds and L1 geometry), lanes chunked across host
 /// cores — and scores the cached cycles under every timer, where the

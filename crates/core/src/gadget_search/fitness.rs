@@ -1,11 +1,11 @@
 //! Scoring a candidate gadget: resolution, monotonicity, stealth.
 //!
 //! One candidate costs `targets.len()` traced runs, fanned through a
-//! single [`Snapshot::run_many`] lockstep batch forked from a warmed
-//! snapshot. Because the run is traced, the timer reading at each target
-//! falls out of *one* run — the number of clock ops whose completion
-//! cycle is ≤ the measured tail's — with no binary search and no repeat
-//! trials (the simulator is deterministic).
+//! single [`Snapshot::run_many`] call on a warmed snapshot. Because the
+//! run is traced, the timer reading at each target falls out of *one*
+//! run — the number of clock ops whose completion cycle is ≤ the measured
+//! tail's — with no binary search and no repeat trials (the simulator is
+//! deterministic).
 //!
 //! The three terms mirror what the repo already measures elsewhere:
 //!
@@ -193,9 +193,9 @@ fn completion_by_pc(r: &RunResult, prog_len: usize) -> Vec<Option<u64>> {
     by_pc
 }
 
-/// Score `tpl` under `cfg`, fanning its lowered target ladder through
-/// one lockstep batch forked from `snap` (which must have been built by
-/// [`FitnessConfig::snapshot`] for the same config).
+/// Score `tpl` under `cfg`, running its lowered target ladder on forks
+/// of `snap` through one [`Snapshot::run_many`] (`snap` must have been
+/// built by [`FitnessConfig::snapshot`] for the same config).
 pub fn evaluate(tpl: &GadgetTemplate, cfg: &FitnessConfig, snap: &Snapshot) -> Fitness {
     let lowered: Vec<_> = cfg
         .targets

@@ -2,9 +2,8 @@
 //! timer plumbing the experiments share.
 
 use crate::layout::Layout;
-use racer_cpu::{
-    Backend, Countermeasure, Cpu, CpuConfig, MachineBatch, RunResult, Snapshot, SnapshotCache,
-};
+use racer_cpu::engine::fork_and_run;
+use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RunResult, Snapshot, SnapshotCache};
 use racer_isa::Program;
 use racer_mem::{Addr, CacheConfig, HierarchyConfig, ReplacementKind};
 use racer_time::Timer;
@@ -184,9 +183,9 @@ impl Machine {
     /// effects, and the machine itself (state and wall clock) is
     /// untouched. Results come back in input order, bit-identical to
     /// cloning the machine per program and calling [`Machine::run`] on
-    /// each clone. One snapshot capture + the lockstep engine's shared
-    /// decode tables make this the cheap way to fan a trial grid out
-    /// from one prepared state.
+    /// each clone. One snapshot capture + the fork engine's shared decode
+    /// table make this the cheap way to fan a trial grid out from one
+    /// prepared state.
     ///
     /// # Panics
     ///
@@ -196,33 +195,26 @@ impl Machine {
     }
 
     /// Run a heterogeneous sweep: each `(machine, program)` lane forks
-    /// its machine's current state, all lanes share one lockstep driver
-    /// and one decode table per distinct program. Results in input
-    /// order, bit-identical to calling [`Machine::run`] per lane; the
-    /// machines themselves are untouched. This is the batch-first
-    /// backbone for experiments whose trial points each *prepare* a
-    /// different machine (planted secrets, jitter seeds, warmed sets)
-    /// but run from a shared program pool.
+    /// its machine's current state and runs to completion
+    /// ([`fork_and_run`]), lanes sharing one decode table per distinct
+    /// program. Results in input order, bit-identical to calling
+    /// [`Machine::run`] per lane; the machines themselves are untouched.
+    /// This is the batch-first backbone for experiments whose trial
+    /// points each *prepare* a different machine (planted secrets, jitter
+    /// seeds, warmed sets) but run from a shared program pool.
     ///
     /// # Panics
     ///
-    /// Panics if the machines' [`CpuConfig`]s differ (one lockstep
-    /// driver steps every lane) or are multi-thread.
+    /// Panics if any machine has a multi-thread (SMT) configuration.
     pub fn sweep<'a, I>(lanes: I) -> Vec<RunResult>
     where
         I: IntoIterator<Item = (&'a Machine, &'a Program)>,
     {
-        let mut iter = lanes.into_iter();
-        let Some((first_machine, first_prog)) = iter.next() else {
-            return Vec::new();
-        };
-        let snap = first_machine.snapshot();
-        let mut batch = MachineBatch::from_snapshot(&snap);
-        batch.push(first_prog);
-        for (machine, prog) in iter {
-            batch.push_from(&machine.snapshot(), prog);
-        }
-        batch.run()
+        let lanes: Vec<(Snapshot, &Program)> = lanes
+            .into_iter()
+            .map(|(machine, prog)| (machine.snapshot(), prog))
+            .collect();
+        fork_and_run(lanes.iter().map(|(snap, prog)| (snap, *prog)))
     }
 
     /// Run a program and return just its cycle count.

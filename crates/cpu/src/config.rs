@@ -1,5 +1,6 @@
-//! Core configuration: widths, window sizes, latencies, ports and
-//! countermeasure modes.
+//! Core configuration: widths, window sizes, latencies, ports,
+//! countermeasure modes, and the [`Backend`] (event-driven scheduler or
+//! reference oracle) a run executes on.
 
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +59,7 @@ impl std::fmt::Display for Countermeasure {
 /// Execution backend: which simulation engine runs the program(s) handed
 /// to [`Cpu::run`](crate::Cpu::run).
 ///
-/// All backends are cycle-exact against each other (pinned by the
+/// The two backends are cycle-exact against each other (pinned by the
 /// differential suites); they differ only in host-side execution strategy
 /// and therefore in throughput:
 ///
@@ -68,13 +69,10 @@ impl std::fmt::Display for Countermeasure {
 /// * [`Reference`](Backend::Reference) — the retained scan-based seed
 ///   scheduler. Slow but structurally simple; kept as the differential
 ///   oracle.
-/// * [`Batched`](Backend::Batched) — the lockstep multi-machine engine
-///   ([`MachineBatch`](crate::MachineBatch)): the N programs are treated
-///   as N *independent single-thread lanes* forked from the calling
-///   machine's current state (caches, memory, predictor), stepped in
-///   lockstep with a shared decoded µop table. Requires
-///   `cfg.threads == 1`; the calling machine's own state is left
-///   untouched.
+///
+/// Independent single-thread runs forked from one warm state are not a
+/// backend: they go through [`Snapshot::run_many`](crate::Snapshot::run_many),
+/// which runs each fork on the event-driven scheduler.
 #[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Backend {
     /// Event-driven scheduler (the production engine).
@@ -82,14 +80,6 @@ pub enum Backend {
     EventDriven,
     /// Retained scan-based reference scheduler (the differential oracle).
     Reference,
-    /// Structure-of-arrays lockstep batch engine; programs are independent
-    /// lanes forked from the current machine state.
-    Batched,
-}
-
-impl Backend {
-    /// All backends, for differential tests that iterate every engine.
-    pub const ALL: [Backend; 3] = [Backend::EventDriven, Backend::Reference, Backend::Batched];
 }
 
 impl std::fmt::Display for Backend {
@@ -97,7 +87,6 @@ impl std::fmt::Display for Backend {
         f.write_str(match self {
             Backend::EventDriven => "event-driven",
             Backend::Reference => "reference",
-            Backend::Batched => "batched",
         })
     }
 }

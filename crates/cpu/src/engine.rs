@@ -1,11 +1,11 @@
-//! The batched lockstep simulation engine: many single-thread machines,
-//! one driver loop.
+//! The fork-and-run engine: many independent single-thread machines
+//! forked from warm snapshots, each run to completion in turn.
 //!
 //! Sweeps are the repo's dominant workload shape: run N program *variants*
 //! (target lengths, repeat counts, magnifier settings) on machines that
-//! share a [`CpuConfig`] and usually a warmed-up starting state. Spawning
-//! one fresh [`Cpu`] per variant pays the warmup run and the scheduling-
-//! structure allocation N times; [`MachineBatch`] pays them once:
+//! share a warmed-up starting state. Spawning one fresh [`Cpu`] per
+//! variant pays the warmup run and the scheduling-structure allocation N
+//! times; [`fork_and_run`] pays them once:
 //!
 //! * **Snapshots** ([`Snapshot`]): one deep capture of a machine's
 //!   persistent state — caches (replacement state included), data memory,
@@ -14,43 +14,33 @@
 //!   ([`batch::par_map`](crate::batch::par_map) workers can all fork from
 //!   the same snapshot). A sweep warms one machine, snapshots it, and
 //!   forks it per point instead of re-running warmup per point.
-//! * **Shared µop tables**: each *distinct* program pushed into a batch is
-//!   decoded once ([`DecodedProgram`]); every lane running that program
-//!   indexes the same table. A countermeasure or repeat-count sweep that
-//!   pushes the same gadget N times decodes it once.
+//! * **Shared µop tables**: each *distinct* program in one call is decoded
+//!   once; every lane running that program indexes the same table. A
+//!   countermeasure or repeat-count sweep that runs the same gadget N
+//!   times decodes it once.
 //! * **Copy-on-write lane memory**: forking a lane clones the snapshot's
-//!   [`Hierarchy`], which shares cache storage in `Arc`-backed chunks and
-//!   only materialises the chunks the lane actually writes (see
-//!   `racer_mem`'s COW docs). Sixty-four lanes of a warmed snapshot share
-//!   one L2/L3 image instead of thrashing the host cache with 64 private
-//!   megabyte-scale copies — the change that makes lockstep win at high
-//!   lane counts.
-//! * **Structure-of-arrays lanes, adaptive lockstep slices**: per-lane
-//!   state (ROB ring, RAT, ready heaps, stall pool, cache hierarchy,
-//!   store queue) lives contiguously in the batch's lane vector. Hot
-//!   scheduling state — the resumable cycle counter and the live-lane
-//!   index list — is packed separately, so the round-robin driver never
-//!   touches finished lanes' cold state. Each round advances every live
-//!   lane by a slice chosen by [`schedule_slice`] from the live-lane
-//!   count and the lanes' measured private footprints (bigger slices as
-//!   aggregate working sets outgrow the host cache, up to running each
-//!   lane effectively serially). Lane [`ThreadCtx`] allocations are
-//!   recycled across [`MachineBatch::run`] rounds, so a long-running
-//!   sweep driver stops touching the allocator entirely.
+//!   [`Hierarchy`](racer_mem::Hierarchy), which shares cache storage in
+//!   `Arc`-backed chunks and only materialises the chunks the lane
+//!   actually writes (see `racer_mem`'s COW docs).
+//! * **One reused context**: a single [`ThreadCtx`] (ROB ring, ready
+//!   heaps, stall pool, store queue) is reset and reused for every lane,
+//!   so a call allocates scheduling structures once.
+//!
+//! The engine never spawns threads: callers fan calls out across host
+//! cores with [`batch::par_map`](crate::batch::par_map).
 //!
 //! # Cycle exactness
 //!
 //! Lanes are *independent machines*: they share no simulated state, only
-//! host-side tables and allocations. Each lane is driven by
-//! [`core::step_lane`], which executes the **same** cycle-loop body
-//! `Cpu::run` uses for a single thread — there is exactly one copy of the
-//! cycle semantics, so a lane stepped in lockstep slices is bit-identical
-//! (cycles, committed state, timer readings, cache stats) to forking a
-//! whole machine and running it to completion, in any lane order. The
-//! differential suites pin this against both retained schedulers.
+//! host-side tables and allocations. Each lane runs the **same**
+//! single-thread cycle loop [`Cpu::run`] uses, under its own snapshot's
+//! [`CpuConfig`], so a lane is bit-identical (cycles, committed state,
+//! timer readings, cache stats) to forking a whole machine and running it
+//! to completion, in any lane order. The differential suites pin this
+//! against both schedulers.
 //!
 //! ```
-//! use racer_cpu::{Backend, Cpu, CpuConfig, MachineBatch};
+//! use racer_cpu::{Backend, Cpu, CpuConfig};
 //! use racer_isa::Asm;
 //! use racer_mem::HierarchyConfig;
 //!
@@ -61,14 +51,10 @@
 //! asm.halt();
 //! let prog = asm.assemble()?;
 //!
-//! // Warm a machine, snapshot it, fork the snapshot into a batch.
+//! // Warm a machine, snapshot it, run eight forks of the snapshot.
 //! let mut cpu = Cpu::new(CpuConfig::default(), HierarchyConfig::coffee_lake());
 //! cpu.run_one(&prog, Backend::EventDriven); // warmup
-//! let mut batch = MachineBatch::from_snapshot(&cpu.snapshot());
-//! for _ in 0..8 {
-//!     batch.push(&prog);
-//! }
-//! let results = batch.run();
+//! let results = cpu.snapshot().run_many(&vec![prog; 8]);
 //! assert_eq!(results.len(), 8);
 //! // Every lane forked the same warmed state: identical results.
 //! assert!(results.iter().all(|r| r.cycles == results[0].cycles));
@@ -76,77 +62,13 @@
 //! ```
 
 use crate::config::{Backend, CpuConfig};
-use crate::core::{self, Cpu, Shared, ThreadCtx};
+use crate::core::{self, Cpu, ThreadCtx};
 use crate::predictor::Predictor;
 use crate::stats::RunResult;
 use racer_isa::{DataMemory, DecodedInstr, DecodedProgram, Program};
-use racer_mem::{Hierarchy, HierarchyConfig, HierarchyStats};
+use racer_mem::{Hierarchy, HierarchyConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Smallest lockstep slice: enough cycles to amortise the per-lane switch
-/// when every lane's working set fits the host cache together.
-const SLICE_MIN: u64 = 64;
-
-/// Largest lockstep slice. At this size a lane typically runs a whole
-/// short program within one round — the schedule's answer when aggregate
-/// lane footprints dwarf the host cache and interleaving only thrashes.
-const SLICE_MAX: u64 = 32_768;
-
-/// Host-cache budget the slice schedule aims to keep resident across a
-/// round, approximating a desktop L2+LLC share. Only the *ratio* of
-/// aggregate lane footprint to this matters, so precision is not required.
-const HOST_CACHE_BUDGET: usize = 2 * 1024 * 1024;
-
-/// Host bytes of a lane's scheduling structures (ROB ring, ready heaps,
-/// stall pool, store queue, RAT) — the COW hierarchy's private chunks and
-/// the data memory are measured, this fixed part is estimated.
-const LANE_CTX_BYTES: usize = 32 * 1024;
-
-/// Pick the cycles each live lane advances per lockstep round.
-///
-/// Switching the driver to another lane costs real host time: the next
-/// lane's private working set (ROB ring, heaps, materialised COW chunks)
-/// has to stream back into the host cache, ~5 µs for a typical ~32 KB
-/// lane against ~65 ns of simulation per cycle. The slice must be large
-/// enough to amortise that, and the pressure grows with both axes the
-/// schedule reads:
-///
-/// * **lane count** — more live lanes means more aggregate working set
-///   cycling through the host cache per round, so the floor scales as
-///   `SLICE_MIN × live_lanes` (64 lanes ⇒ 4096-cycle slices);
-/// * **measured footprint** — `private_bytes` is the lanes' aggregate
-///   *measured* private state: COW cache chunks each lane has actually
-///   materialised ([`Hierarchy::private_bytes_vs`] against the batch
-///   snapshot) plus data memory and fixed per-lane structures. Once it
-///   overflows [`HOST_CACHE_BUDGET`], every switch pays a per-lane
-///   reload, so the slice also scales with per-lane bytes (~1 cycle per
-///   32 private bytes ≈ 20× reload amortisation).
-///
-/// A single live lane always runs at [`SLICE_MAX`]: interleaving has
-/// nothing left to interleave with.
-///
-/// Correctness never depends on the slice: lanes share no simulated
-/// state, so any schedule produces bit-identical results (pinned by the
-/// engine property tests).
-fn schedule_slice(live_lanes: usize, private_bytes: usize) -> u64 {
-    if live_lanes <= 1 {
-        return SLICE_MAX;
-    }
-    let floor = SLICE_MIN * live_lanes as u64;
-    let amortise = if private_bytes > HOST_CACHE_BUDGET {
-        // Over budget, every round pays a full per-lane reload: scale the
-        // slice with per-lane bytes AND lane count so big batches converge
-        // on one-round (effectively serial) completion.
-        (private_bytes / 32) as u64
-    } else {
-        0
-    };
-    floor
-        .max(amortise)
-        .next_power_of_two()
-        .clamp(SLICE_MIN, SLICE_MAX)
-}
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// An immutable capture of a machine's persistent state — config, cache
 /// hierarchy (replacement and stats state included), data memory and
@@ -194,7 +116,7 @@ impl Snapshot {
     }
 
     /// A snapshot of a *cold* machine: fresh caches, empty memory,
-    /// untrained predictor. The batch equivalent of [`Cpu::new`].
+    /// untrained predictor. The snapshot equivalent of [`Cpu::new`].
     ///
     /// # Panics
     ///
@@ -224,294 +146,56 @@ impl Snapshot {
 
     /// Run each of `progs` on an independent fork of this snapshot and
     /// return one [`RunResult`] per program, in input order — the
-    /// convenience form of building a [`MachineBatch`] by hand. Lanes with
-    /// equal programs share one decoded µop table; results are
-    /// bit-identical to `self.fork().run_one(prog, Backend::EventDriven)`
-    /// per program.
+    /// single-source form of [`fork_and_run`]. Lanes with equal programs
+    /// share one decoded µop table; results are bit-identical to
+    /// `self.fork().run_one(prog, Backend::EventDriven)` per program.
     pub fn run_many(&self, progs: &[Program]) -> Vec<RunResult> {
-        let mut batch = MachineBatch::from_snapshot(self);
-        for p in progs {
-            batch.push(p);
-        }
-        batch.run()
+        fork_and_run(progs.iter().map(|p| (self, p)))
     }
 }
 
-/// A pushed-but-not-yet-materialised lane: which program it runs and
-/// which snapshot it forks from (`None` ⇒ the batch snapshot).
-#[derive(Debug)]
-struct QueuedLane {
-    /// Index into the batch's shared `programs` / `decoded` tables.
-    prog: usize,
-    /// Fork source for heterogeneous-state batches
-    /// ([`MachineBatch::push_from`]); `None` forks the batch snapshot.
-    /// O(1) to hold — snapshots are `Arc`-backed.
-    src: Option<Snapshot>,
-}
-
-/// One lane: an independent single-thread machine forked from the batch's
-/// snapshot. Hot scheduling state (the resumable cycle counter, liveness)
-/// is *not* here — it lives in [`MachineBatch`]'s packed `cycles` / live
-/// lists so the lockstep driver never pulls a cold lane's cache lines in
-/// just to decide whether to step it.
-#[derive(Debug)]
-struct Lane {
-    /// Index into the batch's shared `programs` / `decoded` tables.
-    prog: usize,
-    hier: Hierarchy,
-    mem: DataMemory,
-    predictor: Box<dyn Predictor>,
-    ctx: ThreadCtx,
-    shared: Shared,
-    /// Hierarchy stats at fork time (the lane's `mem_stats` baseline).
-    stats_before: HierarchyStats,
-}
-
-impl Lane {
-    /// Approximate host bytes this lane's private state occupies beyond
-    /// the shared snapshot `base`: materialised COW cache chunks, sparse
-    /// data-memory entries (hash-map entry ≈ key + value + bucket
-    /// overhead) and the fixed scheduling structures.
-    fn private_bytes_vs(&self, base: &Hierarchy) -> usize {
-        self.hier.private_bytes_vs(base) + self.mem.len() * 48 + LANE_CTX_BYTES
-    }
-}
-
-/// A structure-of-arrays batch of independent single-thread machines
-/// stepped in lockstep.
+/// Run every `(snapshot, program)` lane to completion on its own fork of
+/// the snapshot, one lane after another, and return one [`RunResult`] per
+/// lane in input order.
 ///
-/// Push one program per lane ([`MachineBatch::push`]; lanes running equal
-/// programs share one decoded µop table), then [`MachineBatch::run`] to
-/// step every lane to completion and collect one [`RunResult`] per lane
-/// in push order. The batch is reusable: after `run` the lanes are
-/// cleared but their scheduling-structure allocations are pooled for the
-/// next round of pushes.
-///
-/// This is the engine behind [`Backend::Batched`](crate::Backend); see
-/// the [module docs](self) for the layout and the cycle-exactness
-/// argument.
-#[derive(Debug)]
-pub struct MachineBatch {
-    snap: Snapshot,
-    /// Distinct programs pushed so far, in first-push order.
-    programs: Vec<Program>,
-    /// Shared decoded µop table, parallel to `programs`.
-    decoded: Vec<Vec<DecodedInstr>>,
-    /// Program index (and optional per-lane fork source) per pushed lane.
-    /// Lane state itself materialises *lazily*, on a lane's first lockstep
-    /// step: forking at push time would walk every lane's fresh state
-    /// twice (once to create, again — cold by then — to step), where the
-    /// per-machine baseline creates and runs each machine back to back.
-    /// Deferring the fork restores that locality and keeps the batch's
-    /// decode-sharing and pooling wins.
-    queued: Vec<QueuedLane>,
-    /// Materialised lanes, in push order; grows during the first round of
-    /// [`MachineBatch::run`].
-    lanes: Vec<Lane>,
-    /// Packed hot state, parallel to `lanes`: each lane's resumable cycle
-    /// counter (`Pipeline::cycle` between slices). The lockstep driver
-    /// reads/writes only this array and the live-index list per round.
-    cycles: Vec<u64>,
-    /// Retired lane contexts: ROB ring / heap / wheel allocations recycled
-    /// by later pushes.
-    spare: Vec<ThreadCtx>,
-}
-
-impl MachineBatch {
-    /// A batch whose lanes fork from `snap`.
-    pub fn from_snapshot(snap: &Snapshot) -> Self {
-        MachineBatch {
-            snap: snap.clone(),
-            programs: Vec::new(),
-            decoded: Vec::new(),
-            queued: Vec::new(),
-            lanes: Vec::new(),
-            cycles: Vec::new(),
-            spare: Vec::new(),
-        }
-    }
-
-    /// A batch whose lanes fork from a cold machine (the batch equivalent
-    /// of running each program on a fresh [`Cpu`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation or is not single-thread.
-    pub fn cold(cfg: CpuConfig, hier_cfg: HierarchyConfig) -> Self {
-        Self::from_snapshot(&Snapshot::cold(cfg, hier_cfg))
-    }
-
-    /// The snapshot this batch forks lanes from.
-    pub fn snapshot(&self) -> &Snapshot {
-        &self.snap
-    }
-
-    /// Number of lanes queued for the next [`MachineBatch::run`].
-    pub fn lanes(&self) -> usize {
-        self.queued.len()
-    }
-
-    /// Whether no lanes are queued.
-    pub fn is_empty(&self) -> bool {
-        self.queued.is_empty()
-    }
-
-    /// Add a lane that runs `prog` from a fork of the batch snapshot.
-    /// Programs equal to an already-pushed one share its decoded µop
-    /// table. The fork itself is deferred to the lane's first step inside
-    /// [`MachineBatch::run`].
-    pub fn push(&mut self, prog: &Program) {
-        let idx = self.intern(prog);
-        self.queued.push(QueuedLane {
-            prog: idx,
-            src: None,
-        });
-    }
-
-    /// Add a lane that runs `prog` from a fork of `src` instead of the
-    /// batch snapshot: the heterogeneous-state form of
-    /// [`MachineBatch::push`], for sweeps whose trial points each prepare
-    /// a *different* machine (distinct cache layouts, jitter seeds,
-    /// planted secrets) but still want shared decode tables, pooled lane
-    /// allocations and one lockstep driver. Decode sharing is unchanged —
-    /// equal programs share one µop table regardless of fork source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` was captured under a different [`CpuConfig`] than
-    /// the batch snapshot: the lockstep driver steps every lane with the
-    /// batch's config. (Hierarchy configs may differ freely — each lane
-    /// forks its own source's caches and memory.)
-    pub fn push_from(&mut self, src: &Snapshot, prog: &Program) {
-        assert_eq!(
-            src.config(),
-            self.snap.config(),
-            "push_from lane snapshot must share the batch CpuConfig"
-        );
-        let idx = self.intern(prog);
-        self.queued.push(QueuedLane {
-            prog: idx,
-            src: Some(src.clone()),
-        });
-    }
-
-    /// Index of `prog` in the shared decode tables, decoding on first use.
-    fn intern(&mut self, prog: &Program) -> usize {
-        match self.programs.iter().position(|p| p == prog) {
-            Some(i) => i,
-            None => {
-                let mut dec = Vec::new();
-                DecodedProgram::decode_into(prog, &mut dec);
-                self.programs.push(prog.clone());
-                self.decoded.push(dec);
-                self.programs.len() - 1
-            }
-        }
-    }
-
-    /// Aggregate measured private footprint of the lanes in `live`
-    /// (COW-materialised cache chunks + data memory + fixed structures) —
-    /// the input to [`schedule_slice`]. Each lane is measured against the
-    /// snapshot it actually forked, so `push_from` lanes don't count their
-    /// source's whole image as private.
-    fn live_private_bytes(&self, live: &[u32]) -> usize {
-        live.iter()
-            .map(|&i| {
-                let i = i as usize;
-                let base = match &self.queued[i].src {
-                    Some(src) => &src.inner.hier,
-                    None => &self.snap.inner.hier,
-                };
-                self.lanes[i].private_bytes_vs(base)
-            })
-            .sum()
-    }
-
-    /// Step every queued lane to completion in lockstep (round-robin over
-    /// the live-lane list, slices from [`schedule_slice`]) and return one
-    /// [`RunResult`] per lane, in push order. Clears the lanes; the batch
-    /// can be refilled and run again, reusing the retired lanes'
-    /// allocations.
-    pub fn run(&mut self) -> Vec<RunResult> {
-        let cfg = self.snap.inner.cfg;
-        let st = &self.snap.inner;
-        let n = self.queued.len();
-        let mut live: Vec<u32> = (0..n as u32).collect();
-        // First-round slice from the fork-time footprint (shared COW
-        // chunks are free; data memory and fixed structures are not).
-        let fork_bytes = st.mem.len() * 48 + LANE_CTX_BYTES;
-        let mut slice = schedule_slice(n, n * fork_bytes);
-        let mut round: u64 = 0;
-        self.lanes.reserve(n);
-        self.cycles.reserve(n);
-        while !live.is_empty() {
-            // Re-measure footprints (lanes materialise COW chunks as they
-            // run) on power-of-two round numbers: O(log rounds) scans of
-            // the Arc-sharing maps instead of one per round.
-            round += 1;
-            if round.is_power_of_two() && round > 1 {
-                slice = schedule_slice(live.len(), self.live_private_bytes(&live));
-            }
-            let (lanes, cycles) = (&mut self.lanes, &mut self.cycles);
-            let (programs, decoded) = (&self.programs, &self.decoded);
-            let (queued, spare) = (&self.queued, &mut self.spare);
-            live.retain(|&i| {
-                let i = i as usize;
-                if i == lanes.len() {
-                    // First visit (round 1 reaches lanes in push order):
-                    // fork the lane now, step it immediately while its
-                    // state is hot — the create-then-run locality the
-                    // per-machine baseline gets for free.
-                    let mut ctx = spare.pop().unwrap_or_default();
-                    ctx.reset(st.cfg.rob_size);
-                    // COW fork: chunk-pointer copies of the source
-                    // hierarchy — the lane materialises private chunks
-                    // only where it writes. `push_from` lanes fork their
-                    // own source snapshot instead of the batch's.
-                    let src: &SnapshotState = match &queued[i].src {
-                        Some(s) => &s.inner,
-                        None => st,
-                    };
-                    let hier = src.hier.clone();
-                    lanes.push(Lane {
-                        prog: queued[i].prog,
-                        stats_before: hier.stats(),
-                        hier,
-                        mem: src.mem.clone(),
-                        predictor: src.predictor.clone_box(),
-                        ctx,
-                        shared: Shared::new(st.cfg.div_ports, 1),
-                    });
-                    cycles.push(0);
+/// Lanes may fork from different snapshots — distinct cache layouts,
+/// jitter seeds, planted secrets, even distinct [`CpuConfig`]s: each lane
+/// runs under its own snapshot's config. Equal programs share one decoded
+/// µop table per call, and one scheduling context is reset and reused for
+/// every lane. Each result is bit-identical to
+/// `snap.fork().run_one(prog, Backend::EventDriven)`; the snapshots are
+/// untouched.
+pub fn fork_and_run<'a, I>(lanes: I) -> Vec<RunResult>
+where
+    I: IntoIterator<Item = (&'a Snapshot, &'a Program)>,
+{
+    let mut decoded: Vec<(&Program, Vec<DecodedInstr>)> = Vec::new();
+    let mut ctx = ThreadCtx::default();
+    lanes
+        .into_iter()
+        .map(|(snap, prog)| {
+            let idx = match decoded.iter().position(|(p, _)| *p == prog) {
+                Some(i) => i,
+                None => {
+                    let mut dec = Vec::new();
+                    DecodedProgram::decode_into(prog, &mut dec);
+                    decoded.push((prog, dec));
+                    decoded.len() - 1
                 }
-                let lane = &mut lanes[i];
-                let (cycle, done) = core::step_lane(
-                    &cfg,
-                    &mut lane.hier,
-                    &mut lane.mem,
-                    lane.predictor.as_mut(),
-                    &programs[lane.prog],
-                    &decoded[lane.prog],
-                    &mut lane.ctx,
-                    &mut lane.shared,
-                    cycles[i],
-                    slice,
-                );
-                cycles[i] = cycle;
-                !done
-            });
-        }
-        self.queued.clear();
-        let lanes = std::mem::take(&mut self.lanes);
-        self.cycles.clear();
-        let mut results = Vec::with_capacity(lanes.len());
-        for mut lane in lanes {
-            let mem_stats = core::mem_stats_since(&lane.hier, &lane.stats_before);
-            results.push(lane.ctx.take_result(mem_stats));
-            self.spare.push(lane.ctx);
-        }
-        results
-    }
+            };
+            let src = &snap.inner;
+            ctx.reset(src.cfg.rob_size);
+            core::run_fork(
+                &src.cfg,
+                src.hier.clone(),
+                src.mem.clone(),
+                src.predictor.clone_box(),
+                prog,
+                &decoded[idx].1,
+                &mut ctx,
+            )
+        })
+        .collect()
 }
 
 /// Hit/miss counters for a [`SnapshotCache`], read via
@@ -565,7 +249,9 @@ struct CacheInner {
 /// counters. Misses build the machine while holding the cache lock, so
 /// concurrent [`batch::par_map`](crate::batch::par_map) workers racing
 /// for one key block briefly and then all hit the single built entry —
-/// "warm exactly once per process" holds under parallelism too.
+/// "warm exactly once per process" holds under parallelism too. A build
+/// that panics (an invalid [`CpuConfig`], say) adds no entry and does not
+/// disable the cache: later lookups recover the poisoned lock.
 ///
 /// [`SnapshotCache::global`] is the shared instance the experiment
 /// pipeline uses; independent instances can be built for tests.
@@ -627,7 +313,7 @@ impl SnapshotCache {
         warmup: Option<(&Program, usize)>,
     ) -> Snapshot {
         let fp = fingerprint(&cfg, &hier_cfg, warmup);
-        let mut inner = self.inner.lock().expect("snapshot cache poisoned");
+        let mut inner = self.lock();
         inner.clock += 1;
         let stamp = inner.clock;
         if let Some(entry) = inner.entries.iter_mut().find(|e| {
@@ -671,6 +357,13 @@ impl SnapshotCache {
         snap
     }
 
+    /// The entry list, recovered if a panicking build poisoned the lock.
+    /// Sound because entries are pushed only after a successful build: a
+    /// build that panics leaves the list exactly as it found it.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Hit/miss counters since construction.
     pub fn counters(&self) -> SnapshotCacheCounters {
         SnapshotCacheCounters {
@@ -681,11 +374,7 @@ impl SnapshotCache {
 
     /// Number of cached snapshots.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("snapshot cache poisoned")
-            .entries
-            .len()
+        self.lock().entries.len()
     }
 
     /// Whether the cache is empty.
@@ -695,11 +384,7 @@ impl SnapshotCache {
 
     /// Drop every cached snapshot (counters are kept).
     pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("snapshot cache poisoned")
-            .entries
-            .clear();
+        self.lock().entries.clear();
     }
 }
 

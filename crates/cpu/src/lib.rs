@@ -39,14 +39,16 @@
 //! Every run goes through one entry point — [`Cpu::run`] (or the
 //! single-program [`Cpu::run_one`]) — parameterised by a [`Backend`]:
 //! the event-driven production scheduler ([`core`], allocation-free in
-//! steady state), the retained scan-based golden model in
-//! [`mod@reference`], or the lockstep multi-machine batch engine in
-//! [`engine`] ([`MachineBatch`], fed by copy-on-fork [`Snapshot`]s). All
-//! three are cycle-exact against each other, pinned by the differential
-//! suites. [`RecordLevel`] controls how much event data a run records,
-//! and [`batch::par_map`] fans independent simulations out across host
+//! steady state) or the retained scan-based golden model in
+//! [`mod@reference`]. The two are cycle-exact against each other, pinned
+//! by the differential suites. Sweeps over many independent machines use
+//! the fork-and-run path in [`engine`]: warm one machine, capture a
+//! copy-on-fork [`Snapshot`], and run each program to completion on its
+//! own fork ([`Snapshot::run_many`], [`engine::fork_and_run`]).
+//! [`RecordLevel`] controls how much event data a run records, and
+//! [`batch::par_map`] fans independent simulations out across host
 //! cores. `BENCH_pipeline.json` at the repo root records measured
-//! throughput for the schedulers and the batch engine.
+//! throughput for the schedulers and for forked sweeps.
 //!
 //! ## Quickstart
 //!
@@ -85,6 +87,6 @@ pub use config::{
     Backend, Countermeasure, CpuConfig, Latencies, PredictorKind, RecordLevel, SmtPolicy,
 };
 pub use core::Cpu;
-pub use engine::{MachineBatch, Snapshot, SnapshotCache, SnapshotCacheCounters};
+pub use engine::{Snapshot, SnapshotCache, SnapshotCacheCounters};
 pub use stats::{LoadEvent, RunResult};
 pub use trace::{render_pipeline, TraceRecord};

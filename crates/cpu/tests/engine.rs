@@ -1,19 +1,19 @@
-//! Property tests for the batched lockstep engine (`racer_cpu::engine`).
+//! Property tests for the fork-and-run engine (`racer_cpu::engine`).
 //!
-//! The engine's contract is bit-identity: a lane stepped inside a
-//! [`MachineBatch`] must produce exactly the [`RunResult`] that forking a
-//! whole machine from the same [`Snapshot`] and running it to completion
-//! would — cycles, registers, load events, traces and cache statistics —
-//! in any lane order, with any mix of divergent programs, under every
-//! countermeasure. These tests exercise that property on randomized
-//! program populations, plus the fork semantics the sweep drivers rely
-//! on: forks are isolated from the snapshot and from each other, and a
-//! batch is deterministic and reusable across rounds.
+//! The engine's contract is bit-identity: a lane run by
+//! [`Snapshot::run_many`] or [`fork_and_run`] must produce exactly the
+//! [`RunResult`] that forking a whole machine from the same [`Snapshot`]
+//! and running it to completion would — cycles, registers, load events,
+//! traces and cache statistics — in any lane order, with any mix of
+//! divergent programs and fork sources, under every countermeasure. These
+//! tests exercise that property on randomized program populations, plus
+//! the fork semantics the sweep drivers rely on: forks are isolated from
+//! the snapshot and from each other, and the snapshot cache keys,
+//! evicts and survives panicking builds correctly.
 
+use racer_cpu::engine::fork_and_run;
 use racer_cpu::workloads::{alu_chain, memory_stream};
-use racer_cpu::{
-    Backend, Countermeasure, Cpu, CpuConfig, MachineBatch, RunResult, Snapshot, SnapshotCache,
-};
+use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RunResult, Snapshot, SnapshotCache};
 use racer_isa::{AluOp, Cond, Instr, MemOperand, Operand, Program, Reg};
 use racer_mem::HierarchyConfig;
 
@@ -147,7 +147,7 @@ fn random_gadget(rng: &mut Xs, len: usize, loop_trips: Option<u64>) -> Program {
 }
 
 /// A population of random gadgets: every third one loops, lengths vary so
-/// lanes finish in different lockstep rounds.
+/// lanes run for different cycle counts.
 fn gadget_population(seed: u64, count: usize) -> Vec<Program> {
     let mut rng = Xs(seed);
     (0..count)
@@ -183,20 +183,16 @@ fn warmed_snapshot(cfg: CpuConfig) -> Snapshot {
 }
 
 #[test]
-fn lockstep_matches_per_machine_forks_under_every_countermeasure() {
+fn run_many_matches_per_machine_forks_under_every_countermeasure() {
     for cm in ALL_COUNTERMEASURES {
         let cfg = CpuConfig::coffee_lake()
             .with_countermeasure(cm)
             .with_load_recording();
         let snap = warmed_snapshot(cfg);
         let progs = gadget_population(0xC0FFEE ^ cm as u64, 12);
-        let mut batch = MachineBatch::from_snapshot(&snap);
-        for p in &progs {
-            batch.push(p);
-        }
-        let batched = batch.run();
-        assert_eq!(batched.len(), progs.len());
-        for (i, (prog, got)) in progs.iter().zip(&batched).enumerate() {
+        let forked = snap.run_many(&progs);
+        assert_eq!(forked.len(), progs.len());
+        for (i, (prog, got)) in progs.iter().zip(&forked).enumerate() {
             let want = snap.fork().run_one(prog, Backend::EventDriven);
             assert_bit_identical(&format!("cm={cm} gadget #{i}"), got, &want);
         }
@@ -204,15 +200,11 @@ fn lockstep_matches_per_machine_forks_under_every_countermeasure() {
 }
 
 #[test]
-fn lockstep_matches_per_machine_forks_with_full_traces() {
+fn run_many_matches_per_machine_forks_with_full_traces() {
     let cfg = CpuConfig::coffee_lake().with_record_level(racer_cpu::RecordLevel::Trace);
     let snap = warmed_snapshot(cfg);
     let progs = gadget_population(0x7_1CE5, 8);
-    let mut batch = MachineBatch::from_snapshot(&snap);
-    for p in &progs {
-        batch.push(p);
-    }
-    for (i, (prog, got)) in progs.iter().zip(&batch.run()).enumerate() {
+    for (i, (prog, got)) in progs.iter().zip(&snap.run_many(&progs)).enumerate() {
         let want = snap.fork().run_one(prog, Backend::EventDriven);
         assert_bit_identical(&format!("traced gadget #{i}"), got, &want);
     }
@@ -223,11 +215,8 @@ fn lane_order_never_changes_results() {
     let snap = warmed_snapshot(CpuConfig::coffee_lake().with_load_recording());
     let progs = gadget_population(0x0D0E_0D0E, 10);
     let run_in_order = |order: &[usize]| -> Vec<RunResult> {
-        let mut batch = MachineBatch::from_snapshot(&snap);
-        for &i in order {
-            batch.push(&progs[i]);
-        }
-        batch.run()
+        let permuted: Vec<Program> = order.iter().map(|&i| progs[i].clone()).collect();
+        snap.run_many(&permuted)
     };
     let forward: Vec<usize> = (0..progs.len()).collect();
     let mut reversed = forward.clone();
@@ -259,11 +248,7 @@ fn forks_are_deterministic_and_isolated() {
 
     // N forks of the same snapshot all see the same starting state, no
     // matter how many siblings ran (and dirtied their caches) before them.
-    let mut batch = MachineBatch::from_snapshot(&snap);
-    for _ in 0..8 {
-        batch.push(&prog);
-    }
-    let lanes = batch.run();
+    let lanes = snap.run_many(&vec![prog.clone(); 8]);
     let solo = snap.fork().run_one(&prog, Backend::EventDriven);
     for (i, lane) in lanes.iter().enumerate() {
         assert_bit_identical(&format!("sibling lane #{i}"), lane, &solo);
@@ -274,29 +259,6 @@ fn forks_are_deterministic_and_isolated() {
     let first = snap.fork().run_one(&prog, Backend::EventDriven);
     let second = snap.fork().run_one(&prog, Backend::EventDriven);
     assert_bit_identical("fork isolation", &first, &second);
-}
-
-#[test]
-fn batch_is_reusable_across_rounds() {
-    let snap = warmed_snapshot(CpuConfig::coffee_lake().with_load_recording());
-    let progs = gadget_population(0xA5A5_A5A5, 6);
-    let mut batch = MachineBatch::from_snapshot(&snap);
-    let mut rounds = Vec::new();
-    for _ in 0..3 {
-        for p in &progs {
-            batch.push(p);
-        }
-        assert_eq!(batch.lanes(), progs.len());
-        rounds.push(batch.run());
-        assert!(batch.is_empty(), "run() drains the lanes");
-    }
-    // Every round forks the same snapshot: identical results, even though
-    // later rounds recycle the first round's lane allocations.
-    for (r, round) in rounds.iter().enumerate().skip(1) {
-        for (i, got) in round.iter().enumerate() {
-            assert_bit_identical(&format!("round {r}, gadget #{i}"), got, &rounds[0][i]);
-        }
-    }
 }
 
 #[test]
@@ -312,11 +274,13 @@ fn run_many_matches_individual_forks_in_input_order() {
 }
 
 #[test]
-fn push_from_mixes_heterogeneous_fork_sources() {
-    // Three snapshots with visibly different state: cold, warmed on the
-    // ALU kernel, warmed on the streaming kernel. One batch, lanes
-    // alternating sources — including the same program under different
-    // sources, which must share a decode table yet diverge in timing.
+fn fork_and_run_mixes_heterogeneous_fork_sources() {
+    // Four snapshots with visibly different state: cold, warmed on the
+    // ALU kernel, warmed on the streaming kernel, and cold under a
+    // different core config. One call, lanes alternating sources —
+    // including the same program under different sources, which must
+    // share a decode table yet diverge in timing, each lane running
+    // under its own source's config.
     let cfg = CpuConfig::coffee_lake().with_load_recording();
     let cold = Snapshot::cold(cfg, HierarchyConfig::coffee_lake());
     let warm_alu = {
@@ -329,24 +293,29 @@ fn push_from_mixes_heterogeneous_fork_sources() {
         cpu.run_one(&memory_stream(200), Backend::EventDriven);
         cpu.snapshot()
     };
-    let sources = [&cold, &warm_alu, &warm_stream];
+    let in_order = Snapshot::cold(
+        cfg.with_countermeasure(Countermeasure::InOrder),
+        HierarchyConfig::coffee_lake(),
+    );
+    let sources = [&cold, &warm_alu, &warm_stream, &in_order];
     let progs = gadget_population(0x9E37_79B9, 4);
 
-    let mut batch = MachineBatch::from_snapshot(&cold);
+    let mut lanes = Vec::new();
     let mut expect = Vec::new();
     for (i, prog) in progs.iter().enumerate() {
         for src in sources {
-            batch.push_from(src, prog);
+            lanes.push((src, prog));
             expect.push((i, src.fork().run_one(prog, Backend::EventDriven)));
         }
     }
-    let got = batch.run();
+    let got = fork_and_run(lanes);
     assert_eq!(got.len(), expect.len());
     for (slot, ((i, want), got)) in expect.iter().zip(&got).enumerate() {
-        assert_bit_identical(&format!("push_from slot {slot} (gadget #{i})"), got, want);
+        assert_bit_identical(&format!("lane {slot} (gadget #{i})"), got, want);
     }
-    // The warmed sources genuinely differ from cold for the streaming
-    // kernel — otherwise this test proves nothing about heterogeneity.
+    // The sources genuinely differ — otherwise this test proves nothing
+    // about heterogeneity: warm state changes the streaming kernel's
+    // timing, and in-order issue changes every gadget's.
     let cold_run = cold
         .fork()
         .run_one(&memory_stream(200), Backend::EventDriven);
@@ -357,18 +326,13 @@ fn push_from_mixes_heterogeneous_fork_sources() {
         cold_run.cycles, warm_run.cycles,
         "sources indistinguishable"
     );
-}
-
-#[test]
-#[should_panic(expected = "push_from lane snapshot must share the batch CpuConfig")]
-fn push_from_rejects_mismatched_cpu_configs() {
-    let base = Snapshot::cold(CpuConfig::coffee_lake(), HierarchyConfig::coffee_lake());
-    let other = Snapshot::cold(
-        CpuConfig::coffee_lake().with_countermeasure(Countermeasure::InOrder),
-        HierarchyConfig::coffee_lake(),
+    assert!(
+        progs
+            .iter()
+            .any(|p| cold.fork().run_one(p, Backend::EventDriven).cycles
+                != in_order.fork().run_one(p, Backend::EventDriven).cycles),
+        "configs indistinguishable"
     );
-    let mut batch = MachineBatch::from_snapshot(&base);
-    batch.push_from(&other, &alu_chain(10));
 }
 
 #[test]
@@ -445,7 +409,30 @@ fn snapshot_cache_evicts_least_recently_used_at_capacity() {
 }
 
 #[test]
-fn run_one_batched_leaves_the_parent_machine_untouched() {
+fn snapshot_cache_recovers_after_a_panicking_build() {
+    let cache = SnapshotCache::new(4);
+    let invalid = CpuConfig {
+        rob_size: 0,
+        ..CpuConfig::coffee_lake()
+    };
+    let build = std::panic::catch_unwind(|| cache.cold(invalid, HierarchyConfig::coffee_lake()));
+    assert!(build.is_err(), "an invalid config must fail its build");
+    assert!(cache.is_empty(), "a failed build adds no entry");
+
+    // The panic unwound through the cache lock; later lookups still work.
+    let before = cache.counters();
+    let snap = cache.cold(CpuConfig::coffee_lake(), HierarchyConfig::coffee_lake());
+    let after = cache.counters();
+    assert_eq!(after.hits, before.hits);
+    assert_eq!(after.misses, before.misses + 1, "the lookup is a miss");
+    assert_eq!(cache.len(), 1);
+    assert_eq!(snap.config(), &CpuConfig::coffee_lake());
+    cache.clear();
+    assert!(cache.is_empty());
+}
+
+#[test]
+fn run_many_leaves_the_parent_machine_untouched() {
     let mut cpu = Cpu::new(
         CpuConfig::coffee_lake().with_load_recording(),
         HierarchyConfig::coffee_lake(),
@@ -453,12 +440,12 @@ fn run_one_batched_leaves_the_parent_machine_untouched() {
     cpu.run_one(&alu_chain(200), Backend::EventDriven); // warm the parent
     let prog = gadget_population(0x5EED_5EED, 1).remove(0);
 
-    // Batched runs fork the parent's current state without advancing it:
-    // repeated calls keep observing the same state, and the event-driven
-    // run that follows starts exactly where the forks did.
-    let b1 = cpu.run_one(&prog, Backend::Batched);
-    let b2 = cpu.run_one(&prog, Backend::Batched);
+    // Forked runs capture the parent's current state without advancing
+    // it: repeated calls keep observing the same state, and the
+    // event-driven run that follows starts exactly where the forks did.
+    let f1 = cpu.snapshot().run_many(std::slice::from_ref(&prog));
+    let f2 = cpu.snapshot().run_many(std::slice::from_ref(&prog));
     let direct = cpu.run_one(&prog, Backend::EventDriven);
-    assert_bit_identical("repeated batched runs", &b1, &b2);
-    assert_bit_identical("batched vs event-driven", &b1, &direct);
+    assert_bit_identical("repeated forked runs", &f1[0], &f2[0]);
+    assert_bit_identical("forked vs event-driven", &f1[0], &direct);
 }

@@ -10,9 +10,9 @@
 //! Each chunk covers [`SETS_PER_CHUNK`] consecutive sets and sits behind an
 //! [`Arc`]: cloning a `Cache` copies chunk *pointers* only, and a clone
 //! materialises a private copy of a chunk the first time it mutates a set
-//! inside it (`Arc::make_mut`). Sixty-four batch lanes forked from one
-//! warmed snapshot therefore share a single L2/L3 image until their access
-//! streams actually diverge — and pay copy costs proportional to the sets
+//! inside it (`Arc::make_mut`). Forks of one warmed snapshot therefore
+//! share a single L2/L3 image until their access streams actually
+//! diverge — and pay copy costs proportional to the sets
 //! they touch, not the level's size. Value semantics are unchanged: a clone
 //! is observationally an independent deep copy.
 //!
@@ -109,15 +109,6 @@ struct Chunk {
     /// Replacement state for the chunk's sets (local indices; random
     /// per-set seeds still derive from the global set index).
     policy: PackedPolicy,
-}
-
-impl Chunk {
-    /// Heap bytes a private copy of this chunk costs.
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(self.tags.as_slice())
-            + std::mem::size_of_val(self.valid.as_slice())
-            + self.policy.heap_bytes()
-    }
 }
 
 /// A single cache level: flattened tag arrays, packed per-set replacement
@@ -386,22 +377,6 @@ impl Cache {
             .count()
     }
 
-    /// Heap bytes of the chunks this cache does **not** share with `base` —
-    /// the private, already-materialised part of a copy-on-write clone.
-    /// Against the snapshot it forked from, this is the clone's real memory
-    /// footprint (the batch engine sizes its lockstep slices from it).
-    pub fn private_bytes_vs(&self, base: &Cache) -> usize {
-        if self.chunks.len() != base.chunks.len() {
-            return self.chunks.iter().map(|c| c.heap_bytes()).sum();
-        }
-        self.chunks
-            .iter()
-            .zip(&base.chunks)
-            .filter(|(a, b)| !Arc::ptr_eq(a, b))
-            .map(|(a, _)| a.heap_bytes())
-            .sum()
-    }
-
     /// Materialise a private copy of every still-shared chunk, making this
     /// cache's storage fully independent of any clone — the eager
     /// deep-clone the copy-on-write representation otherwise avoids.
@@ -612,7 +587,6 @@ mod tests {
         let mut fork = base.clone();
         assert_eq!(fork.num_chunks(), 16, "1024 sets / 64 per chunk");
         assert_eq!(fork.shared_chunks_with(&base), 16);
-        assert_eq!(fork.private_bytes_vs(&base), 0);
 
         // Reads (lookup/probe/set views) never materialise.
         assert!(fork.probe(LineAddr(7)));
@@ -622,7 +596,6 @@ mod tests {
         // A write splits exactly the chunk it lands in…
         fork.fill(LineAddr(4096));
         assert_eq!(fork.shared_chunks_with(&base), 15);
-        assert!(fork.private_bytes_vs(&base) > 0);
         // …without becoming visible to the original.
         assert!(!base.probe(LineAddr(4096)));
         assert!(fork.probe(LineAddr(4096)));

@@ -131,9 +131,8 @@ impl HierarchyConfig {
 /// Cloning a `Hierarchy` is cheap and copy-on-write: each level's storage
 /// is chunked behind shared `Arc`s (see [`crate::Cache`]), so a clone
 /// copies chunk pointers and only materialises private chunks as its
-/// access stream diverges from the original's. The batch engine forks its
-/// lanes this way and sizes lockstep slices from
-/// [`Hierarchy::private_bytes_vs`].
+/// access stream diverges from the original's. The fork engine in
+/// `racer_cpu` forks its lanes this way.
 ///
 /// ```
 /// use racer_mem::{Addr, Hierarchy, HierarchyConfig, HitLevel};
@@ -378,17 +377,6 @@ impl Hierarchy {
     /// states (e.g. the PLRU magnifier's initial condition).
     pub fn l1d_mut(&mut self) -> &mut Cache {
         &mut self.l1d
-    }
-
-    /// Heap bytes of cache storage this hierarchy does **not** share with
-    /// `base`: the private chunks a copy-on-write clone has materialised
-    /// since it was forked. Against the snapshot it came from, this is the
-    /// clone's real cache-state memory footprint — what the batch engine's
-    /// slice schedule sums per lane to estimate host-cache pressure.
-    pub fn private_bytes_vs(&self, base: &Hierarchy) -> usize {
-        self.l1d.private_bytes_vs(&base.l1d)
-            + self.l2.private_bytes_vs(&base.l2)
-            + self.l3.private_bytes_vs(&base.l3)
     }
 
     /// Materialise private copies of all still-shared cache chunks, making

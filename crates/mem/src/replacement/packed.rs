@@ -211,21 +211,6 @@ impl PackedPolicy {
         }
     }
 
-    /// Approximate heap bytes this policy state occupies — the cost of
-    /// materialising a private copy, used by copy-on-write footprint
-    /// accounting.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        match self {
-            PackedPolicy::TreePlru { bits, .. } => std::mem::size_of_val(bits.as_slice()),
-            PackedPolicy::Lru { order, .. } => order.len(),
-            PackedPolicy::Fifo { queue, .. } => queue.len(),
-            PackedPolicy::Srrip { rrpv, .. } => rrpv.len(),
-            PackedPolicy::Random { rngs, next, .. } => {
-                std::mem::size_of_val(rngs.as_slice()) + next.len()
-            }
-        }
-    }
-
     /// Reset every set to the post-construction state. Random keeps its RNG
     /// streams — resetting cache contents does not rewind hardware
     /// randomness (mirrors `RandomReplacement::reset`).
