@@ -1,6 +1,6 @@
 //! One Criterion benchmark per paper table/figure: measures the wall-clock
 //! cost of regenerating each artefact at smoke scale. Paper-scale sweeps
-//! live in the `src/bin/fig*.rs` binaries.
+//! run through `racer-lab run <scenario>`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hacky_racers::experiments::{

@@ -19,10 +19,9 @@ use crate::layout::Layout;
 use crate::machine::Machine;
 use racer_isa::{Asm, MemOperand, Program};
 use racer_mem::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Result of one key-nibble recovery.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AesRecovery {
     /// The plaintext high nibbles used.
     pub plaintexts: Vec<u8>,

@@ -8,10 +8,9 @@ use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_isa::Program;
 use racer_time::stats::{best_threshold, overlap_coefficient, Summary};
-use serde::{Deserialize, Serialize};
 
 /// The two sampled distributions plus separation metrics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DistributionResult {
     /// Observed milliseconds per transmit-1 trial (A inserted before B).
     pub transmit1_ms: Vec<f64>,

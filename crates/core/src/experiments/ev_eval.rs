@@ -7,10 +7,9 @@
 use crate::attacks::EvictionSetAttack;
 use crate::machine::Machine;
 use racer_mem::{candidate_pool, Addr};
-use serde::{Deserialize, Serialize};
 
 /// Result of the repeated-profiling evaluation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EvEval {
     /// Profiling attempts.
     pub trials: usize,

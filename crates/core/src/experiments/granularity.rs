@@ -11,10 +11,9 @@ use crate::layout::Layout;
 use crate::machine::Machine;
 use crate::path::PathSpec;
 use racer_isa::AluOp;
-use serde::{Deserialize, Serialize};
 
 /// One measured point of Figures 8/9.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct GranularityPoint {
     /// Target-path operation count (x-axis).
     pub target_ops: usize,
@@ -24,7 +23,7 @@ pub struct GranularityPoint {
 }
 
 /// One measured series (one line of Figure 8 or 9).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GranularitySeries {
     /// Target operation kind (`add`, `mul`, `leal`, `div`).
     pub target_op: String,
@@ -163,14 +162,14 @@ pub fn figure9(max_target: usize, step: usize, max_ref: usize) -> Vec<Granularit
 
 /// The §7.2 summary table: per (ref, target) pair, slope, granularity and
 /// measurement reach.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GranularityTable {
     /// One row per measured series.
     pub rows: Vec<GranularityTableRow>,
 }
 
 /// One row of [`GranularityTable`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GranularityTableRow {
     /// Reference op.
     pub ref_op: String,

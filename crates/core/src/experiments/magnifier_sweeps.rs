@@ -8,10 +8,9 @@ use crate::machine::Machine;
 use crate::magnify::{ArbitraryReplacementMagnifier, ArithmeticMagnifier};
 use racer_cpu::CpuConfig;
 use racer_mem::HierarchyConfig;
-use serde::{Deserialize, Serialize};
 
 /// One (repeat count, timing difference) point.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct SweepPoint {
     /// Repeat count (x-axis).
     pub repeats: usize,
@@ -20,7 +19,7 @@ pub struct SweepPoint {
 }
 
 /// A sweep series with rendering helpers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepSeries {
     /// Series label.
     pub label: String,

@@ -11,10 +11,9 @@ use crate::machine::Machine;
 use racer_cpu::CpuConfig;
 use racer_mem::HierarchyConfig;
 use racer_time::CoarseTimer;
-use serde::{Deserialize, Serialize};
 
 /// Accuracy at one jitter level.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct NoisePoint {
     /// Uniform DRAM jitter bound in cycles.
     pub jitter_cycles: u64,

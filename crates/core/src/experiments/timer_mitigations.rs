@@ -14,10 +14,9 @@ use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_isa::Program;
 use racer_time::{stats, CoarseTimer, FuzzyTimer, Timer};
-use serde::{Deserialize, Serialize};
 
 /// One cell of the mitigation sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MitigationPoint {
     /// Timer model name.
     pub timer: String,

@@ -14,10 +14,9 @@ use crate::path::PathSpec;
 use racer_cpu::CpuConfig;
 use racer_isa::AluOp;
 use racer_mem::HierarchyConfig;
-use serde::{Deserialize, Serialize};
 
 /// Measured reach for one scheduler size.
-#[derive(Copy, Clone, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug)]
 pub struct WindowPoint {
     /// Scheduler (reservation-station) capacity.
     pub rs_size: usize,

@@ -40,13 +40,12 @@
 //! discovered-vs-hand-written resolution ratio.
 
 pub mod fitness;
-pub mod rng;
 pub mod search;
 pub mod shipped;
 pub mod template;
 
 pub use fitness::{eval_cpu_config, evaluate, stealth_term, Fitness, FitnessConfig, FitnessPoint};
-pub use rng::SplitMix64;
+pub use racer_rng::SplitMix64;
 pub use search::{run_search, Candidate, Cell, GenerationLog, SearchConfig, SearchState};
 pub use shipped::{
     fenced_dud, hand_written_baseline, shipped_gadgets, ExpectedFitness, ShippedGadget,

@@ -21,11 +21,11 @@
 use std::collections::BTreeMap;
 
 use super::fitness::{evaluate, Fitness, FitnessConfig, FitnessPoint};
-use super::rng::SplitMix64;
 use super::template::{ArmLayout, ChainOp, GadgetTemplate};
 use racer_cpu::batch::{max_threads, par_map_workers};
 use racer_cpu::engine::Snapshot;
 use racer_results::Value;
+use racer_rng::SplitMix64;
 
 /// Behaviour-descriptor cell: `(resolution bucket, FU-pressure
 /// signature)`. Two candidates in the same cell are behavioural

@@ -18,8 +18,8 @@
 //! which `crates/core/tests/gadget_gen.rs` pins across all three
 //! execution backends.
 
-use super::rng::SplitMix64;
 use racer_isa::{Asm, Instr, Program, Reg};
+use racer_rng::SplitMix64;
 
 /// Serial-chain operation: the FU the chain occupies and its per-op
 /// latency class (ADD 1 cycle, MUL 3 cycles pipelined, DIV non-pipelined

@@ -20,12 +20,11 @@ pub use transient_pa::TransientPaRace;
 
 use crate::machine::Machine;
 use crate::path::PathSpec;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one race, as read back by the (omniscient) harness. Real
 /// attacks never see this directly — they feed the state difference into a
 /// magnifier gadget (§6) and observe a coarse timer.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct RaceOutcome {
     /// Whether the measurement path won (its terminal access happened /
     /// happened first).

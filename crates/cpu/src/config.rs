@@ -2,15 +2,13 @@
 //! countermeasure modes, and the [`Backend`] (event-driven scheduler or
 //! reference oracle) a run executes on.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware Spectre/side-channel countermeasures modelled by the core
 /// (paper §8, "Potential Countermeasures").
 ///
 /// The paper's central claim is that defences which only police *transient*
 /// execution do not stop the non-transient reorder racing gadget; these modes
 /// let experiments demonstrate that claim quantitatively.
-#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash)]
 pub enum Countermeasure {
     /// No countermeasure: a conventional aggressive out-of-order core.
     #[default]
@@ -73,7 +71,7 @@ impl std::fmt::Display for Countermeasure {
 /// Independent single-thread runs forked from one warm state are not a
 /// backend: they go through [`Snapshot::run_many`](crate::Snapshot::run_many),
 /// which runs each fork on the event-driven scheduler.
-#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash)]
 pub enum Backend {
     /// Event-driven scheduler (the production engine).
     #[default]
@@ -97,7 +95,7 @@ impl std::fmt::Display for Backend {
 /// Paper §9 ("other shared resources"): a racing-gadget timer reads *any*
 /// contended shared resource, and SMT port contention is the canonical
 /// example. The arbitration policy decides how that contention is shaped.
-#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Hash)]
 pub enum SmtPolicy {
     /// Rotate first claim among threads each cycle (cycle mod thread
     /// count). The classic fair baseline.
@@ -141,7 +139,7 @@ impl std::fmt::Display for SmtPolicy {
 }
 
 /// Branch-predictor selection.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum PredictorKind {
     /// Classic 2-bit saturating counters indexed by PC. Trainable — the
     /// transient P/A racing gadget's train/detect phases rely on it.
@@ -163,7 +161,7 @@ impl Default for PredictorKind {
 
 /// Functional-unit latencies, after the paper's §7 processor details and
 /// Agner Fog's tables for Coffee Lake.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub struct Latencies {
     /// Simple integer ops and `lea` (cycles).
     pub alu: u64,
@@ -207,9 +205,7 @@ impl Default for Latencies {
 /// richer levels.
 ///
 /// Levels are cumulative: `Trace` implies `Loads` implies `Counters`.
-#[derive(
-    Copy, Clone, Debug, Default, Eq, PartialEq, Ord, PartialOrd, Hash, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq, Ord, PartialOrd, Hash)]
 pub enum RecordLevel {
     /// Aggregate counters only (`cycles`, `committed`, `mem_stats`, …);
     /// the `loads` and `trace` vectors stay empty and unallocated.
@@ -242,7 +238,7 @@ impl RecordLevel {
 /// Defaults model a Coffee-Lake-class core at 2 GHz (the paper's i7-8750H):
 /// 4-wide front end, 224-entry ROB, ~60-entry scheduler, 4 ALUs, 1 MUL,
 /// 1 non-pipelined DIV, 2 load ports.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct CpuConfig {
     /// Instructions fetched per cycle.
     pub fetch_width: usize,

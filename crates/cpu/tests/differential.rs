@@ -16,23 +16,7 @@
 use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RecordLevel, RunResult};
 use racer_isa::{AluOp, Cond, Instr, MemOperand, Operand, Program, Reg};
 use racer_mem::HierarchyConfig;
-
-/// Deterministic SplitMix64 (the tests must not depend on external crates).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use racer_rng::SplitMix64;
 
 /// A random terminating program: a mix of every instruction class the
 /// scheduler handles specially, with forward branches/jumps inside the
@@ -40,7 +24,7 @@ impl Rng {
 /// loop closed by a **backward** branch (register 8 holds the trip
 /// counter, which the body never writes), so re-fetching trained branch
 /// PCs and squash-redirects to earlier PCs get differential coverage too.
-fn random_program(rng: &mut Rng, len: usize, loop_trips: Option<u64>) -> Program {
+fn random_program(rng: &mut SplitMix64, len: usize, loop_trips: Option<u64>) -> Program {
     let reg = |i: u64| Reg::new(i as usize);
     let mut instrs: Vec<Instr> = Vec::with_capacity(len + 12);
     // Seed the first eight registers with small values.
@@ -48,7 +32,7 @@ fn random_program(rng: &mut Rng, len: usize, loop_trips: Option<u64>) -> Program
         instrs.push(Instr::Alu {
             op: AluOp::Add,
             dst: reg(i),
-            a: Operand::Imm(rng.below(100) as i64),
+            a: Operand::Imm(rng.below_mod(100) as i64),
             b: Operand::Imm(0),
         });
     }
@@ -65,17 +49,17 @@ fn random_program(rng: &mut Rng, len: usize, loop_trips: Option<u64>) -> Program
     // every path through the body still decrements the trip counter.
     let end = body_start + len;
     for at in body_start..end {
-        let d = reg(rng.below(8));
-        let a = reg(rng.below(8));
-        let b = reg(rng.below(8));
+        let d = reg(rng.below_mod(8));
+        let a = reg(rng.below_mod(8));
+        let b = reg(rng.below_mod(8));
         // Aliased word pool (forces store-load disambiguation) plus strided
         // lines (forces misses and MSHR pressure).
-        let pool_addr = 0x100 + rng.below(16) * 8;
-        let line_addr = 0x4000 + rng.below(64) * 64;
-        let fwd = (at as u64 + 1 + rng.below((end - at) as u64)).min(end as u64) as usize;
-        let instr = match rng.below(20) {
+        let pool_addr = 0x100 + rng.below_mod(16) * 8;
+        let line_addr = 0x4000 + rng.below_mod(64) * 64;
+        let fwd = (at as u64 + 1 + rng.below_mod((end - at) as u64)).min(end as u64) as usize;
+        let instr = match rng.below_mod(20) {
             0..=4 => Instr::Alu {
-                op: match rng.below(5) {
+                op: match rng.below_mod(5) {
                     0 => AluOp::Add,
                     1 => AluOp::Sub,
                     2 => AluOp::Xor,
@@ -100,7 +84,7 @@ fn random_program(rng: &mut Rng, len: usize, loop_trips: Option<u64>) -> Program
             },
             8..=10 => Instr::Load {
                 dst: d,
-                mem: MemOperand::abs(if rng.below(2) == 0 {
+                mem: MemOperand::abs(if rng.below_mod(2) == 0 {
                     pool_addr
                 } else {
                     line_addr
@@ -112,27 +96,27 @@ fn random_program(rng: &mut Rng, len: usize, loop_trips: Option<u64>) -> Program
             },
             13 => Instr::Lea {
                 dst: d,
-                mem: MemOperand::base_disp(a, rng.below(64) as i64),
+                mem: MemOperand::base_disp(a, rng.below_mod(64) as i64),
             },
             14 => Instr::Prefetch {
                 mem: MemOperand::abs(line_addr),
-                nta: rng.below(2) == 0,
+                nta: rng.below_mod(2) == 0,
             },
             15 => Instr::Flush {
                 mem: MemOperand::abs(line_addr),
             },
             16 | 17 => Instr::Branch {
-                cond: if rng.below(2) == 0 {
+                cond: if rng.below_mod(2) == 0 {
                     Cond::Lt
                 } else {
                     Cond::Ne
                 },
                 a,
-                b: Operand::Imm(rng.below(60) as i64),
+                b: Operand::Imm(rng.below_mod(60) as i64),
                 target: fwd,
             },
             18 => {
-                if rng.below(4) == 0 {
+                if rng.below_mod(4) == 0 {
                     Instr::Jump { target: fwd }
                 } else {
                     Instr::Nop
@@ -237,10 +221,10 @@ fn assert_equivalent(tag: &str, fast: &RunResult, slow: &RunResult) {
 fn run_differential(cfg: CpuConfig, seed: u64, count: usize, len: usize) {
     let mut fast_cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
     let mut slow_cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     for i in 0..count {
         let trips = if i % 3 == 2 {
-            Some(2 + rng.below(3))
+            Some(2 + rng.below_mod(3))
         } else {
             None
         };

@@ -16,6 +16,7 @@ use racer_cpu::workloads::{alu_chain, memory_stream};
 use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RunResult, Snapshot, SnapshotCache};
 use racer_isa::{AluOp, Cond, Instr, MemOperand, Operand, Program, Reg};
 use racer_mem::HierarchyConfig;
+use racer_rng::SplitMix64;
 
 const ALL_COUNTERMEASURES: [Countermeasure; 6] = [
     Countermeasure::None,
@@ -26,36 +27,18 @@ const ALL_COUNTERMEASURES: [Countermeasure; 6] = [
     Countermeasure::CleanupSpec,
 ];
 
-/// xorshift64* — deterministic, dependency-free. Seed must be non-zero.
-struct Xs(u64);
-
-impl Xs {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// A random terminating gadget: ALU chains with multiplies and divides,
 /// aliased loads/stores, strided-line loads, prefetch/flush, fences and
 /// forward branches — optionally wrapped in a counted backward-branch
 /// loop (register 7 holds the trip counter, never written by the body).
-fn random_gadget(rng: &mut Xs, len: usize, loop_trips: Option<u64>) -> Program {
+fn random_gadget(rng: &mut SplitMix64, len: usize, loop_trips: Option<u64>) -> Program {
     let reg = |i: u64| Reg::new(i as usize);
     let mut instrs: Vec<Instr> = Vec::with_capacity(len + 12);
     for i in 0..7u64 {
         instrs.push(Instr::Alu {
             op: AluOp::Add,
             dst: reg(i),
-            a: Operand::Imm(1 + rng.below(50) as i64),
+            a: Operand::Imm(1 + rng.below_mod(50) as i64),
             b: Operand::Imm(0),
         });
     }
@@ -70,15 +53,15 @@ fn random_gadget(rng: &mut Xs, len: usize, loop_trips: Option<u64>) -> Program {
     let body_start = instrs.len();
     let end = body_start + len;
     for at in body_start..end {
-        let d = reg(rng.below(7));
-        let a = reg(rng.below(7));
-        let b = reg(rng.below(7));
-        let pool = 0x200 + rng.below(8) * 8;
-        let line = 0x8000 + rng.below(32) * 64;
-        let fwd = (at as u64 + 1 + rng.below((end - at) as u64)).min(end as u64) as usize;
-        instrs.push(match rng.below(16) {
+        let d = reg(rng.below_mod(7));
+        let a = reg(rng.below_mod(7));
+        let b = reg(rng.below_mod(7));
+        let pool = 0x200 + rng.below_mod(8) * 8;
+        let line = 0x8000 + rng.below_mod(32) * 64;
+        let fwd = (at as u64 + 1 + rng.below_mod((end - at) as u64)).min(end as u64) as usize;
+        instrs.push(match rng.below_mod(16) {
             0..=3 => Instr::Alu {
-                op: match rng.below(4) {
+                op: match rng.below_mod(4) {
                     0 => AluOp::Add,
                     1 => AluOp::Sub,
                     2 => AluOp::Xor,
@@ -102,7 +85,7 @@ fn random_gadget(rng: &mut Xs, len: usize, loop_trips: Option<u64>) -> Program {
             },
             6..=8 => Instr::Load {
                 dst: d,
-                mem: MemOperand::abs(if rng.below(2) == 0 { pool } else { line }),
+                mem: MemOperand::abs(if rng.below_mod(2) == 0 { pool } else { line }),
             },
             9 | 10 => Instr::Store {
                 src: Operand::Reg(a),
@@ -110,19 +93,19 @@ fn random_gadget(rng: &mut Xs, len: usize, loop_trips: Option<u64>) -> Program {
             },
             11 => Instr::Prefetch {
                 mem: MemOperand::abs(line),
-                nta: rng.below(2) == 0,
+                nta: rng.below_mod(2) == 0,
             },
             12 => Instr::Flush {
                 mem: MemOperand::abs(line),
             },
             13 | 14 => Instr::Branch {
-                cond: if rng.below(2) == 0 {
+                cond: if rng.below_mod(2) == 0 {
                     Cond::Lt
                 } else {
                     Cond::Ne
                 },
                 a,
-                b: Operand::Imm(rng.below(40) as i64),
+                b: Operand::Imm(rng.below_mod(40) as i64),
                 target: fwd,
             },
             _ => Instr::Fence,
@@ -149,11 +132,11 @@ fn random_gadget(rng: &mut Xs, len: usize, loop_trips: Option<u64>) -> Program {
 /// A population of random gadgets: every third one loops, lengths vary so
 /// lanes run for different cycle counts.
 fn gadget_population(seed: u64, count: usize) -> Vec<Program> {
-    let mut rng = Xs(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..count)
         .map(|i| {
-            let len = 30 + (rng.below(41) as usize);
-            let trips = (i % 3 == 2).then(|| 2 + rng.below(3));
+            let len = 30 + (rng.below_mod(41) as usize);
+            let trips = (i % 3 == 2).then(|| 2 + rng.below_mod(3));
             random_gadget(&mut rng, len, trips)
         })
         .collect()

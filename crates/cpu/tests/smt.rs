@@ -9,51 +9,35 @@ use racer_cpu::workloads::{alu_saturate, div_hog, div_race, timer_race};
 use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RunResult, SmtPolicy};
 use racer_isa::{AluOp, Cond, Instr, MemOperand, Operand, Program, Reg};
 use racer_mem::HierarchyConfig;
-
-/// Deterministic SplitMix64 (the tests must not depend on external crates).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use racer_rng::SplitMix64;
 
 /// A random terminating program with every instruction class the
 /// schedulers handle specially. `mem_base` gives each hardware thread its
 /// own word pool and line range — co-scheduled threads share no data, per
 /// the SMT model (contention is observed through ports and caches only).
-fn random_program(rng: &mut Rng, len: usize, mem_base: u64) -> Program {
+fn random_program(rng: &mut SplitMix64, len: usize, mem_base: u64) -> Program {
     let reg = |i: u64| Reg::new(i as usize);
     let mut instrs: Vec<Instr> = Vec::with_capacity(len + 10);
     for i in 0..8u64 {
         instrs.push(Instr::Alu {
             op: AluOp::Add,
             dst: reg(i),
-            a: Operand::Imm(rng.below(100) as i64),
+            a: Operand::Imm(rng.below_mod(100) as i64),
             b: Operand::Imm(0),
         });
     }
     let body_start = instrs.len();
     let end = body_start + len;
     for at in body_start..end {
-        let d = reg(rng.below(8));
-        let a = reg(rng.below(8));
-        let b = reg(rng.below(8));
-        let pool_addr = mem_base + rng.below(16) * 8;
-        let line_addr = mem_base + 0x4000 + rng.below(64) * 64;
-        let fwd = (at as u64 + 1 + rng.below((end - at) as u64)).min(end as u64) as usize;
-        let instr = match rng.below(20) {
+        let d = reg(rng.below_mod(8));
+        let a = reg(rng.below_mod(8));
+        let b = reg(rng.below_mod(8));
+        let pool_addr = mem_base + rng.below_mod(16) * 8;
+        let line_addr = mem_base + 0x4000 + rng.below_mod(64) * 64;
+        let fwd = (at as u64 + 1 + rng.below_mod((end - at) as u64)).min(end as u64) as usize;
+        let instr = match rng.below_mod(20) {
             0..=4 => Instr::Alu {
-                op: match rng.below(5) {
+                op: match rng.below_mod(5) {
                     0 => AluOp::Add,
                     1 => AluOp::Sub,
                     2 => AluOp::Xor,
@@ -78,7 +62,7 @@ fn random_program(rng: &mut Rng, len: usize, mem_base: u64) -> Program {
             },
             8..=10 => Instr::Load {
                 dst: d,
-                mem: MemOperand::abs(if rng.below(2) == 0 {
+                mem: MemOperand::abs(if rng.below_mod(2) == 0 {
                     pool_addr
                 } else {
                     line_addr
@@ -90,27 +74,27 @@ fn random_program(rng: &mut Rng, len: usize, mem_base: u64) -> Program {
             },
             13 => Instr::Lea {
                 dst: d,
-                mem: MemOperand::base_disp(a, rng.below(64) as i64),
+                mem: MemOperand::base_disp(a, rng.below_mod(64) as i64),
             },
             14 => Instr::Prefetch {
                 mem: MemOperand::abs(line_addr),
-                nta: rng.below(2) == 0,
+                nta: rng.below_mod(2) == 0,
             },
             15 => Instr::Flush {
                 mem: MemOperand::abs(line_addr),
             },
             16 | 17 => Instr::Branch {
-                cond: if rng.below(2) == 0 {
+                cond: if rng.below_mod(2) == 0 {
                     Cond::Lt
                 } else {
                     Cond::Ne
                 },
                 a,
-                b: Operand::Imm(rng.below(60) as i64),
+                b: Operand::Imm(rng.below_mod(60) as i64),
                 target: fwd,
             },
             18 => {
-                if rng.below(4) == 0 {
+                if rng.below_mod(4) == 0 {
                     Instr::Jump { target: fwd }
                 } else {
                     Instr::Nop
@@ -160,11 +144,11 @@ fn run_smt_differential(cfg: CpuConfig, seed: u64, count: usize, len: usize) {
     assert_eq!(cfg.threads, 2);
     let mut fast_cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
     let mut slow_cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     for i in 0..count {
         // Uneven lengths: one thread regularly outlives the other, so the
         // done-thread/survivor phase gets coverage too.
-        let len_b = len / 2 + rng.below(len as u64) as usize;
+        let len_b = len / 2 + rng.below_mod(len as u64) as usize;
         let prog_a = random_program(&mut rng, len, 0x100);
         let prog_b = random_program(&mut rng, len_b, 0x2_0100);
         let fast = fast_cpu.run(&[&prog_a, &prog_b], Backend::EventDriven);
@@ -263,7 +247,7 @@ proptest! {
         let cfg = CpuConfig::coffee_lake()
             .with_countermeasure(cm)
             .with_load_recording();
-        let prog = random_program(&mut Rng(seed), len, 0x100);
+        let prog = random_program(&mut SplitMix64::new(seed), len, 0x100);
         let mut fast = Cpu::new(cfg, HierarchyConfig::coffee_lake());
         let mut slow = Cpu::new(cfg, HierarchyConfig::coffee_lake());
         let f = fast.run_one(&prog, Backend::EventDriven);

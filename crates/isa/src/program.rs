@@ -2,12 +2,11 @@
 
 use crate::instr::Instr;
 use crate::reg::NUM_REGS;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A label handle returned by [`Asm::fwd_label`](crate::Asm::fwd_label) before its
 /// position is known.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub struct Label(pub(crate) usize);
 
 /// Errors produced when assembling or validating a [`Program`].
@@ -49,7 +48,7 @@ impl std::error::Error for ProgramError {}
 ///
 /// Build one with the [`Asm`](crate::Asm) assembler, or from raw
 /// instructions via [`Program::from_instrs`].
-#[derive(Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Eq, PartialEq)]
 pub struct Program {
     instrs: Vec<Instr>,
 }

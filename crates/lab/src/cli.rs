@@ -917,31 +917,6 @@ fn render_verdicts(verdicts: &[PerfVerdict], tolerance: f64) -> String {
     s
 }
 
-/// Legacy-binary compatibility shim: run one scenario with the old
-/// `[--quick]` interface, print its text, write `results/<name>.json`, and
-/// hand the report back (the perf binary also refreshes the committed
-/// baseline from it).
-pub fn shim(name: &str) -> Report {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let opts = if quick {
-        RunOptions::quick()
-    } else {
-        RunOptions::default()
-    };
-    let sc = crate::registry::find(name)
-        .unwrap_or_else(|| panic!("shim for unregistered scenario {name}"));
-    let report = run_scenario(&sc, &opts).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(e.exit_code());
-    });
-    println!("{}", report.text.trim_end());
-    match report.write(Path::new("results")) {
-        Ok(path) => println!("# wrote {}", path.display()),
-        Err(e) => eprintln!("# warning: could not write results file: {e}"),
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

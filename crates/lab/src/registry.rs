@@ -21,7 +21,7 @@ pub type RunFn = fn(&RunContext) -> Result<ScenarioOutput, LabError>;
 pub struct ScenarioOutput {
     /// Structured results — becomes the report's `results` member.
     pub data: Value,
-    /// Plot-ready human text (what the legacy binary printed).
+    /// Plot-ready human text (what `racer-lab run` prints).
     pub text: String,
 }
 
@@ -40,8 +40,8 @@ pub struct RunContext {
 
 /// One registered experiment.
 pub struct Scenario {
-    /// Stable machine-readable name (also the legacy binary name and the
-    /// `results/<name>.json` stem).
+    /// Stable machine-readable name (also the `results/<name>.json`
+    /// stem).
     pub name: &'static str,
     /// Paper artefact label, e.g. `Figure 8` or `§7.4`.
     pub title: &'static str,
@@ -85,8 +85,10 @@ mod tests {
         );
         let unique: HashSet<&&str> = names.iter().collect();
         assert_eq!(unique.len(), names.len(), "duplicate scenario names");
-        // Every legacy racer-bench binary must stay addressable by name.
-        for legacy in [
+        // These names must stay stable: the goldens, the README scenario
+        // table and the benchmark's paper workload address scenarios by
+        // them.
+        for name in [
             "countermeasures_eval",
             "detection_eval",
             "eviction_set_eval",
@@ -105,7 +107,7 @@ mod tests {
             "timer_mitigations_eval",
             "window_ablation_eval",
         ] {
-            assert!(names.contains(&legacy), "missing scenario {legacy}");
+            assert!(names.contains(&name), "missing scenario {name}");
         }
     }
 

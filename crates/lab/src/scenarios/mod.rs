@@ -38,7 +38,7 @@ pub fn all() -> Vec<Scenario> {
     out
 }
 
-/// The standard figure header the legacy binaries printed.
+/// The standard figure header every scenario's text starts with.
 pub(crate) fn header(figure: &str, description: &str) -> String {
     format!(
         "# ============================================================\n\

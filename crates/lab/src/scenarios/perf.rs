@@ -6,8 +6,8 @@
 //! experiments under the batched vs per-machine trial paths.
 //!
 //! The payload (`results`) is exactly the committed `BENCH_pipeline.json`
-//! document, so the legacy `perf_baseline` binary can keep refreshing the
-//! baseline and `racer-lab perf-check` can diff against it. Sweep rows
+//! document, so the `perf_baseline` binary in `crates/bench` can refresh
+//! the baseline and `racer-lab perf-check` can diff against it. Sweep rows
 //! reuse the same column names (`event_driven_instrs_per_sec` holds the
 //! forked sweep, `reference_instrs_per_sec` the per-machine sweep), so
 //! the existing perf gate covers them with no schema change.

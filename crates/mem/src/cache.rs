@@ -26,7 +26,6 @@ use crate::addr::LineAddr;
 use crate::replacement::{PackedPolicy, ReplacementKind};
 use crate::set::FillOutcome;
 use crate::stats::CacheStats;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Sets per copy-on-write chunk. 64 keeps a Coffee-Lake L1D (64 sets) in
@@ -37,7 +36,7 @@ use std::sync::Arc;
 const SETS_PER_CHUNK: usize = 64;
 
 /// Geometry and policy of one cache level.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct CacheConfig {
     /// Number of sets; must be a power of two.
     pub sets: usize,

@@ -3,12 +3,10 @@
 use crate::addr::{Addr, LineAddr};
 use crate::cache::{Cache, CacheConfig};
 use crate::stats::HierarchyStats;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use racer_rng::SplitMix64;
 
 /// The deepest level that serviced an access.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Ord, PartialOrd, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Ord, PartialOrd, Hash)]
 pub enum HitLevel {
     /// L1 data cache hit.
     L1,
@@ -33,7 +31,7 @@ impl std::fmt::Display for HitLevel {
 }
 
 /// What kind of access is being performed.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum AccessKind {
     /// Demand load.
     Load,
@@ -47,7 +45,7 @@ pub enum AccessKind {
 }
 
 /// Result of a hierarchy access.
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct AccessOutcome {
     /// Deepest level that serviced the access.
     pub level: HitLevel,
@@ -61,7 +59,7 @@ pub struct AccessOutcome {
 }
 
 /// Configuration for a [`Hierarchy`].
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct HierarchyConfig {
     /// L1 data cache geometry.
     pub l1d: CacheConfig,
@@ -149,7 +147,7 @@ pub struct Hierarchy {
     l1d: Cache,
     l2: Cache,
     l3: Cache,
-    rng: StdRng,
+    rng: SplitMix64,
     memory_accesses: u64,
     flushes: u64,
     prefetches: u64,
@@ -162,7 +160,7 @@ impl Hierarchy {
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
             l3: Cache::new(cfg.l3),
-            rng: StdRng::seed_from_u64(cfg.seed),
+            rng: SplitMix64::seed_from_u64(cfg.seed),
             cfg,
             memory_accesses: 0,
             flushes: 0,
@@ -232,7 +230,7 @@ impl Hierarchy {
         // DRAM.
         self.memory_accesses += 1;
         let jitter = if self.cfg.memory_jitter > 0 {
-            self.rng.gen_range(0..=self.cfg.memory_jitter)
+            self.rng.at_most_mod(self.cfg.memory_jitter)
         } else {
             0
         };

@@ -30,8 +30,6 @@ pub use random::RandomReplacement;
 pub use srrip::Srrip;
 pub use tree_plru::TreePlru;
 
-use serde::{Deserialize, Serialize};
-
 /// Per-set replacement state machine.
 ///
 /// One instance manages one cache set of `ways()` ways. The containing
@@ -84,7 +82,7 @@ pub trait ReplacementPolicy: std::fmt::Debug + Send {
 /// let p = ReplacementKind::TreePlru.build(4, 7);
 /// assert_eq!(p.ways(), 4);
 /// ```
-#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq, Hash)]
 pub enum ReplacementKind {
     /// Binary-tree pseudo-LRU (paper Figures 3–4; "prevalent on modern CPUs").
     TreePlru,

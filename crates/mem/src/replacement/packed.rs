@@ -12,8 +12,7 @@
 //! equivalence against the retained boxed implementations.
 
 use super::ReplacementKind;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use racer_rng::SplitMix64;
 
 /// Replacement state for all sets of one cache level, struct-of-arrays.
 #[derive(Clone, Debug)]
@@ -35,7 +34,7 @@ pub(crate) enum PackedPolicy {
     /// from the same derived seeds.
     Random {
         ways: usize,
-        rngs: Vec<StdRng>,
+        rngs: Vec<SplitMix64>,
         next: Vec<u8>,
     },
 }
@@ -106,8 +105,8 @@ impl PackedPolicy {
                     let seed = base_seed
                         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                         .wrapping_add(set as u64);
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    next.push(rng.gen_range(0..ways) as u8);
+                    let mut rng = SplitMix64::seed_from_u64(seed);
+                    next.push(rng.below_mod(ways as u64) as u8);
                     rngs.push(rng);
                 }
                 PackedPolicy::Random { ways, rngs, next }
@@ -187,7 +186,7 @@ impl PackedPolicy {
             }
             PackedPolicy::Random { ways, rngs, next } => {
                 let v = next[set] as usize;
-                next[set] = rngs[set].gen_range(0..*ways) as u8;
+                next[set] = rngs[set].below_mod(*ways as u64) as u8;
                 v
             }
         }

@@ -2,8 +2,7 @@
 //! arbitrary-replacement magnifier gadget (§6.3).
 
 use super::ReplacementPolicy;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use racer_rng::SplitMix64;
 
 /// Uniform-random victim selection, as on the Arm1176 the paper cites for
 /// its §6.3 demonstration ("an L1 cache with 64 sets, 8 ways and a random
@@ -23,7 +22,7 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, Debug)]
 pub struct RandomReplacement {
     ways: usize,
-    rng: StdRng,
+    rng: SplitMix64,
     /// Victim pre-drawn so `peek_victim` can preview without advancing state.
     next: usize,
 }
@@ -37,8 +36,8 @@ impl RandomReplacement {
     /// Panics if `ways` is zero.
     pub fn new(ways: usize, seed: u64) -> Self {
         assert!(ways >= 1, "random replacement needs at least one way");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let next = rng.gen_range(0..ways);
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let next = rng.below_mod(ways as u64) as usize;
         RandomReplacement { ways, rng, next }
     }
 }
@@ -54,7 +53,7 @@ impl ReplacementPolicy for RandomReplacement {
 
     fn victim(&mut self) -> usize {
         let v = self.next;
-        self.next = self.rng.gen_range(0..self.ways);
+        self.next = self.rng.below_mod(self.ways as u64) as usize;
         v
     }
 

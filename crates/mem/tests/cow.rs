@@ -57,8 +57,8 @@ fn apply(h: &mut Hierarchy, addr: u64, op: u8) -> String {
 
 /// Full-state fingerprint: the derived `Debug` output covers tags, valid
 /// masks, packed replacement state, RNG position and every counter.
-/// (`PackedPolicy`/`StdRng` deliberately have no `PartialEq`, so the
-/// formatted form is the bit-exactness proxy, as in the differential
+/// (`PackedPolicy` and `Hierarchy` deliberately have no `PartialEq`, so
+/// the formatted form is the bit-exactness proxy, as in the differential
 /// suite.)
 fn fingerprint(h: &Hierarchy) -> String {
     format!("{h:?}")

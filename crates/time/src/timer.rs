@@ -1,7 +1,6 @@
 //! Timer observation models.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use racer_rng::SplitMix64;
 
 /// A source of timestamps as observed by the attacker.
 ///
@@ -53,7 +52,7 @@ impl Timer for PerfectTimer {
 pub struct CoarseTimer {
     resolution_ns: f64,
     jitter_ns: f64,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl CoarseTimer {
@@ -79,7 +78,7 @@ impl CoarseTimer {
         CoarseTimer {
             resolution_ns,
             jitter_ns,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::seed_from_u64(seed),
         }
     }
 
@@ -98,7 +97,7 @@ impl Timer for CoarseTimer {
     fn now(&mut self, t_ns: f64) -> f64 {
         let quantized = (t_ns / self.resolution_ns).floor() * self.resolution_ns;
         if self.jitter_ns > 0.0 {
-            quantized + self.rng.gen_range(0.0..self.jitter_ns)
+            quantized + self.rng.range_f64(0.0, self.jitter_ns)
         } else {
             quantized
         }
@@ -115,7 +114,7 @@ impl Timer for CoarseTimer {
 #[derive(Clone, Debug)]
 pub struct FuzzyTimer {
     resolution_ns: f64,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl FuzzyTimer {
@@ -128,7 +127,7 @@ impl FuzzyTimer {
         assert!(resolution_ns > 0.0, "resolution must be positive");
         FuzzyTimer {
             resolution_ns,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::seed_from_u64(seed),
         }
     }
 }
@@ -137,7 +136,7 @@ impl Timer for FuzzyTimer {
     fn now(&mut self, t_ns: f64) -> f64 {
         // Perturb the reading by up to ±half a resolution before
         // quantizing: the edge the attacker sees wobbles per reading.
-        let dither = self.rng.gen_range(-0.5..0.5) * self.resolution_ns;
+        let dither = self.rng.range_f64(-0.5, 0.5) * self.resolution_ns;
         ((t_ns + dither) / self.resolution_ns).floor() * self.resolution_ns
     }
 
@@ -207,10 +206,10 @@ pub fn edge_threshold_estimate(
         res > 0.0,
         "edge thresholding needs a finite-resolution timer"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::seed_from_u64(seed);
     let mut crossings = 0usize;
     for _ in 0..trials {
-        let start = rng.gen_range(0.0..res * 1000.0);
+        let start = rng.range_f64(0.0, res * 1000.0);
         if timer.measure(start, start + duration_ns) > 0.0 {
             crossings += 1;
         }

@@ -1,5 +1,5 @@
 //! The paper's headline claims, each as one executable assertion, at
-//! reduced scale (the `racer-bench` binaries run the full versions).
+//! reduced scale (`racer-lab run <scenario>` runs the full versions).
 
 use hacky_racers::experiments::{
     countermeasures, distribution, ev_eval, granularity, magnifier_sweeps, par_seq,
