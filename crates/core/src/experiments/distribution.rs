@@ -6,6 +6,7 @@
 use crate::experiments::run_lanes_batched;
 use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
+use racer_cpu::CpuConfig;
 use racer_isa::Program;
 use racer_time::stats::{best_threshold, overlap_coefficient, Summary};
 
@@ -28,8 +29,9 @@ pub struct DistributionResult {
 ///
 /// The magnifier program depends only on rounds and L1 geometry —
 /// identical across every noisy machine — so all trials×2 lanes share one
-/// program (assembled and decoded once) and fan out through
-/// [`run_lanes_batched`].
+/// program (assembled once, carrying its µop table) and fan out through
+/// [`run_lanes_batched`]. Lanes record no load events: only cycle counts
+/// are read.
 pub fn figure10(trials: usize, rounds: usize) -> DistributionResult {
     let mut transmit1_ms = Vec::with_capacity(trials);
     let mut transmit0_ms = Vec::with_capacity(trials);
@@ -66,9 +68,11 @@ pub fn figure10(trials: usize, rounds: usize) -> DistributionResult {
 
 /// Fresh noisy machine for a (trial, a_first) cell: DRAM jitter varies
 /// run times. Figure 3.1 set state prepared, raced lines warmed in
-/// transmit order; pokes only, so the clock stays at zero.
+/// transmit order; pokes only, so the clock stays at zero. The figure
+/// reads only cycle counts, so the core records no load events.
 fn prepared_machine(t: usize, a_first: bool, rounds: usize) -> Machine {
-    let mut m = Machine::noisy(0xF1660 + t as u64 * 7 + u64::from(a_first));
+    let seed = 0xF1660 + t as u64 * 7 + u64::from(a_first);
+    let mut m = Machine::with(CpuConfig::coffee_lake(), Machine::noisy_hierarchy(seed));
     let mag = PlruMagnifier::with(m.layout(), 5, rounds);
     mag.prepare(&mut m);
     let (a, b) = (mag.line_a(&m), mag.line_b(&m));
@@ -141,6 +145,15 @@ impl DistributionResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lanes_record_no_load_events() {
+        let m = prepared_machine(0, true, 50);
+        let prog = PlruMagnifier::with(m.layout(), 5, 50).program(&m, PlruInput::Reorder);
+        let r = &run_lanes_batched(&[(m, &prog)])[0];
+        assert!(r.halted && r.committed > 300);
+        assert!(r.loads.is_empty(), "{} load events kept", r.loads.len());
+    }
 
     #[test]
     fn transmissions_are_cleanly_separable() {

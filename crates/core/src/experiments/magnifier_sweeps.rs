@@ -7,7 +7,7 @@ use crate::layout::Layout;
 use crate::machine::Machine;
 use crate::magnify::{ArbitraryReplacementMagnifier, ArithmeticMagnifier};
 use racer_cpu::CpuConfig;
-use racer_mem::HierarchyConfig;
+use racer_mem::{CacheConfig, HierarchyConfig, ReplacementKind};
 
 /// One (repeat count, timing difference) point.
 #[derive(Copy, Clone, Debug)]
@@ -66,19 +66,6 @@ impl SweepSeries {
 ///   re-seeding the misalignment);
 /// * `random-no-prefetch` — the §6.3.1 cap: bounded by the set count.
 pub fn figure11(repeat_points: &[usize], delay: usize) -> Vec<SweepSeries> {
-    use racer_cpu::CpuConfig;
-    use racer_mem::{CacheConfig, ReplacementKind};
-    let machine = |kind: ReplacementKind, seed: u64| {
-        let mut hier = HierarchyConfig::coffee_lake();
-        hier.l1d = CacheConfig {
-            sets: 64,
-            ways: 8,
-            replacement: kind,
-            seed,
-            ..CacheConfig::l1d_coffee_lake()
-        };
-        Machine::with(CpuConfig::coffee_lake().with_load_recording(), hier)
-    };
     // Each point runs on a fresh machine, so the sweep parallelizes across
     // host cores with bit-identical results (see `racer_cpu::batch`).
     // Deliberately *not* snapshot-cached: every point's hierarchy has a
@@ -89,7 +76,7 @@ pub fn figure11(repeat_points: &[usize], delay: usize) -> Vec<SweepSeries> {
             let mut mag = ArbitraryReplacementMagnifier::new(Layout::default());
             mag.repeats = repeats;
             mag.prefetch_dist = prefetch;
-            let mut m = machine(kind, 0x5EED + repeats as u64);
+            let mut m = figure11_machine(kind, 0x5EED + repeats as u64);
             let amp = mag.amplification(&mut m, delay).max(0);
             SweepPoint {
                 repeats,
@@ -106,6 +93,21 @@ pub fn figure11(repeat_points: &[usize], delay: usize) -> Vec<SweepSeries> {
         run(ReplacementKind::Random, 22, "random-with-prefetch"),
         run(ReplacementKind::Random, 0, "random-no-prefetch"),
     ]
+}
+
+/// A Figure 11 machine: a 64-set, 8-way L1 under `kind` replacement drawn
+/// from `seed`. The figure reads only cycle counts, so the core records no
+/// load events.
+fn figure11_machine(kind: ReplacementKind, seed: u64) -> Machine {
+    let mut hier = HierarchyConfig::coffee_lake();
+    hier.l1d = CacheConfig {
+        sets: 64,
+        ways: 8,
+        replacement: kind,
+        seed,
+        ..CacheConfig::l1d_coffee_lake()
+    };
+    Machine::with(CpuConfig::coffee_lake(), hier)
 }
 
 /// Figure 12: arithmetic-only magnifier difference vs repeats, with the
@@ -168,6 +170,17 @@ impl SweepSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn figure11_machines_record_no_load_events() {
+        let mut m = figure11_machine(ReplacementKind::Fifo, 0x5EED);
+        let mut mag = ArbitraryReplacementMagnifier::new(Layout::default());
+        mag.repeats = 2;
+        mag.prepare(&mut m);
+        let r = m.run(&mag.program(&m, 30));
+        assert!(r.halted && r.committed > 0);
+        assert!(r.loads.is_empty(), "{} load events kept", r.loads.len());
+    }
 
     #[test]
     fn figure11_prefetch_series_outgrows_capped_series() {

@@ -32,8 +32,8 @@ use racer_isa::Program;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrialPath {
     /// Fork every prepared trial machine and run the forks in ordered
-    /// chunks across host cores, lanes sharing decode tables within each
-    /// chunk ([`Machine::sweep`] over [`run_lanes_batched`]).
+    /// chunks across host cores, lanes sharing a scheduling context
+    /// within each chunk ([`Machine::sweep`] over [`run_lanes_batched`]).
     Batched,
     /// One machine per trial cell, run to completion immediately — the
     /// pre-batch pipeline shape.
@@ -41,12 +41,12 @@ pub enum TrialPath {
 }
 
 /// Most lanes one [`Machine::sweep`] chunk takes. Chunks trade two costs:
-/// within a chunk, lanes share one decoded program and one reused
-/// scheduling context; across chunks, [`par_map`] balances load between
-/// host cores. Measured on `timer_mitigations_eval`, one `par_map` item
-/// per lane (a decode and a context allocation per lane) ran 1.24×
-/// slower, and one chunk per worker 1.61× slower (uneven trial lengths
-/// leave cores idle); chunks of at most 8 beat both.
+/// within a chunk, lanes share one reused scheduling context; across
+/// chunks, [`par_map`] balances load between host cores. Measured on
+/// `timer_mitigations_eval` when runs still decoded their program, one
+/// `par_map` item per lane (a decode and a context allocation per lane)
+/// ran 1.24× slower, and one chunk per worker 1.61× slower (uneven trial
+/// lengths leave cores idle); chunks of at most 8 beat both.
 const LANES_PER_BATCH: usize = 8;
 
 /// Run prepared heterogeneous `(machine, program)` lanes batch-first:

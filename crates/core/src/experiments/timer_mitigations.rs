@@ -12,6 +12,7 @@
 use crate::experiments::{run_lanes_batched, TrialPath};
 use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
+use racer_cpu::CpuConfig;
 use racer_isa::Program;
 use racer_time::{stats, CoarseTimer, FuzzyTimer, Timer};
 
@@ -190,7 +191,7 @@ fn sweep_batched(
         run_lanes_batched(&lanes)
     };
     let committed = results.iter().map(|r| r.committed).sum();
-    let cfg = racer_cpu::CpuConfig::coffee_lake().with_load_recording();
+    let cfg = CpuConfig::coffee_lake();
     let mut out = Vec::new();
     for &tname in timers {
         for (ri, &rounds) in round_counts.iter().enumerate() {
@@ -217,9 +218,11 @@ fn sweep_batched(
 
 /// The fresh noisy machine of a (trial, bit, rounds) cell, with the
 /// Figure 3.1 set state prepared and the raced lines warmed in bit order.
-/// Pokes only — the machine's clock stays at zero.
+/// Pokes only — the machine's clock stays at zero. The sweep reads only
+/// cycles and committed counts, so the core records no load events.
 fn prepared_machine(t: usize, bit: bool, rounds: usize) -> Machine {
-    let mut m = Machine::noisy(t as u64 * 31 + u64::from(bit));
+    let seed = t as u64 * 31 + u64::from(bit);
+    let mut m = Machine::with(CpuConfig::coffee_lake(), Machine::noisy_hierarchy(seed));
     let mag = PlruMagnifier::with(m.layout(), 5, rounds);
     mag.prepare(&mut m);
     let (a, b) = (mag.line_a(&m), mag.line_b(&m));
@@ -414,6 +417,17 @@ mod tests {
         // per-machine plan re-runs it for every timer.
         assert!(bc > 0);
         assert_eq!(pc, bc * timers.len() as u64);
+    }
+
+    #[test]
+    fn sweep_lanes_record_no_load_events() {
+        // The sweep reads only cycles and committed counts; a paper-scale
+        // lane would otherwise log six load events per round.
+        let m = prepared_machine(0, true, 50);
+        let prog = PlruMagnifier::with(m.layout(), 5, 50).program(&m, PlruInput::Reorder);
+        let r = &run_lanes_batched(&[(m, &prog)])[0];
+        assert!(r.halted && r.committed > 300);
+        assert!(r.loads.is_empty(), "{} load events kept", r.loads.len());
     }
 
     #[test]

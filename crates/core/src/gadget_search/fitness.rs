@@ -1,7 +1,7 @@
 //! Scoring a candidate gadget: resolution, monotonicity, stealth.
 //!
 //! One candidate costs `targets.len()` traced runs, fanned through a
-//! single [`Snapshot::run_many`] call on a warmed snapshot. Because the
+//! single [`fork_and_run`] call on a warmed snapshot. Because the
 //! run is traced, the timer reading at each target falls out of *one*
 //! run — the number of clock ops whose completion cycle is ≤ the measured
 //! tail's — with no binary search and no repeat trials (the simulator is
@@ -25,7 +25,7 @@
 
 use super::template::GadgetTemplate;
 use crate::experiments::detection::{backend_bound_detector, l1_miss_detector, CounterProfile};
-use racer_cpu::engine::{Snapshot, SnapshotCache};
+use racer_cpu::engine::{fork_and_run, Snapshot, SnapshotCache};
 use racer_cpu::{workloads, CpuConfig, RunResult};
 use racer_mem::HierarchyConfig;
 
@@ -194,16 +194,15 @@ fn completion_by_pc(r: &RunResult, prog_len: usize) -> Vec<Option<u64>> {
 }
 
 /// Score `tpl` under `cfg`, running its lowered target ladder on forks
-/// of `snap` through one [`Snapshot::run_many`] (`snap` must have been
-/// built by [`FitnessConfig::snapshot`] for the same config).
+/// of `snap` through one [`fork_and_run`] (`snap` must have been built by
+/// [`FitnessConfig::snapshot`] for the same config).
 pub fn evaluate(tpl: &GadgetTemplate, cfg: &FitnessConfig, snap: &Snapshot) -> Fitness {
     let lowered: Vec<_> = cfg
         .targets
         .iter()
         .map(|&t| tpl.lower(t, cfg.clock_len))
         .collect();
-    let progs: Vec<_> = lowered.iter().map(|l| l.prog.clone()).collect();
-    let runs = snap.run_many(&progs);
+    let runs = fork_and_run(lowered.iter().map(|l| (snap, &l.prog)));
     if runs
         .iter()
         .any(|r| !r.halted || r.limit_hit || r.cycles > cfg.cycle_budget)

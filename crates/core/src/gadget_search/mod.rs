@@ -16,9 +16,9 @@
 //!   [`SplitMix64`], so every candidate is reproducible from
 //!   `(template, seed)` alone.
 //! * [`fitness`] — scores a template by lowering it at a ladder of target
-//!   lengths and fanning the lowered programs through one warmed
-//!   [`Snapshot::run_many`](racer_cpu::engine::Snapshot::run_many)
-//!   call. One traced run per target yields the timer reading
+//!   lengths and fanning the lowered programs through one
+//!   [`fork_and_run`](racer_cpu::engine::fork_and_run) call on a warmed
+//!   snapshot. One traced run per target yields the timer reading
 //!   directly (clock ops completed before the measured tail), so a
 //!   candidate costs a handful of runs, not a binary search. Terms:
 //!   resolution (cycles per clock tick, least-squares), monotonicity of

@@ -80,10 +80,20 @@ impl Machine {
     /// — caching would only churn the LRU. (Same for
     /// [`Machine::random_l1`].)
     pub fn noisy(seed: u64) -> Self {
+        Self::with(
+            CpuConfig::coffee_lake().with_load_recording(),
+            Self::noisy_hierarchy(seed),
+        )
+    }
+
+    /// The hierarchy of [`Machine::noisy`]: the baseline's, with DRAM
+    /// jitter drawn from `seed`. Drivers that read only cycle counts pair
+    /// it with a core that records no load events.
+    pub fn noisy_hierarchy(seed: u64) -> HierarchyConfig {
         let mut hier = HierarchyConfig::small_plru();
         hier.memory_jitter = 30;
         hier.seed = seed;
-        Self::with(CpuConfig::coffee_lake().with_load_recording(), hier)
+        hier
     }
 
     /// 64-set 8-way random-replacement L1 (paper §6.3's configuration).
@@ -183,9 +193,9 @@ impl Machine {
     /// effects, and the machine itself (state and wall clock) is
     /// untouched. Results come back in input order, bit-identical to
     /// cloning the machine per program and calling [`Machine::run`] on
-    /// each clone. One snapshot capture + the fork engine's shared decode
-    /// table make this the cheap way to fan a trial grid out from one
-    /// prepared state.
+    /// each clone. One snapshot capture and one reused scheduling context
+    /// make this the cheap way to fan a trial grid out from one prepared
+    /// state.
     ///
     /// # Panics
     ///
@@ -196,8 +206,7 @@ impl Machine {
 
     /// Run a heterogeneous sweep: each `(machine, program)` lane forks
     /// its machine's current state and runs to completion
-    /// ([`fork_and_run`]), lanes sharing one decode table per distinct
-    /// program. Results in input order, bit-identical to calling
+    /// ([`fork_and_run`]). Results in input order, bit-identical to calling
     /// [`Machine::run`] per lane; the machines themselves are untouched.
     /// This is the batch-first backbone for experiments whose trial
     /// points each *prepare* a different machine (planted secrets, jitter

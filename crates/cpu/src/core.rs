@@ -68,8 +68,9 @@
 //!   branch?") and conservative store disambiguation come from small
 //!   in-flight queues (`spec_branches`, `store_q`) instead of prefix walks
 //!   of the ROB.
-//! * **Pre-decoded µop tables.** Every stage indexes the run's
-//!   [`DecodedProgram`] by pc instead of pattern-matching
+//! * **Pre-decoded µop tables.** Every stage indexes the program's own
+//!   µop table ([`Program::decoded`], decoded once when the program was
+//!   built, never per run) by pc instead of pattern-matching
 //!   [`Instr`](racer_isa::Instr): FU
 //!   classes are dense indices, operand reads are slot lookups (no
 //!   register-compare walks), destinations/source lists/branch targets are
@@ -90,7 +91,8 @@
 //!   reference scheduler does anyway.
 //! * **No steady-state allocation.** All scheduling structures live in
 //!   the per-thread [`ThreadCtx`] structs, owned by [`Cpu`] and reused
-//!   across [`Cpu::run`] calls;
+//!   across [`Cpu::run`] calls, and a run decodes nothing (the µop table
+//!   belongs to the program);
 //!   sources use inline `[Src; 3]` storage (no instruction has more than
 //!   three; the register names live in the decoded table), and the
 //!   `loads`/`trace` vectors are only touched when
@@ -102,8 +104,7 @@ use crate::config::{Backend, Countermeasure, CpuConfig};
 use crate::predictor::{self, Predictor};
 use crate::stats::{LoadEvent, RunResult};
 use racer_isa::{
-    AluOp, DataMemory, DecodedInstr, DecodedMem, DecodedOp, DecodedProgram, FuClass, Program,
-    SrcRef, NUM_REGS,
+    AluOp, DataMemory, DecodedInstr, DecodedMem, DecodedOp, FuClass, Program, SrcRef, NUM_REGS,
 };
 use racer_mem::{AccessKind, Addr, Hierarchy, HitLevel};
 use std::cmp::Reverse;
@@ -146,9 +147,9 @@ const NUM_CLASSES: usize = FuClass::COUNT;
 /// One ROB ring slot. Slots are overwritten in place at dispatch; the
 /// `consumers` vector keeps its capacity across reuse, so a warmed-up
 /// pipeline dispatches without touching the allocator. The instruction
-/// itself is *not* stored: `pc` indexes the run's pre-decoded µop table
-/// ([`DecodedProgram`]), which already holds every static fact the stages
-/// need.
+/// itself is *not* stored: `pc` indexes the program's µop table
+/// ([`Program::decoded`]), which already holds every static fact the
+/// stages need.
 #[derive(Clone, Debug)]
 struct Slot {
     seq: Seq,
@@ -461,7 +462,6 @@ pub(crate) fn run_fork(
     mut mem: DataMemory,
     mut predictor: Box<dyn Predictor>,
     prog: &Program,
-    dec: &[DecodedInstr],
     s: &mut ThreadCtx,
 ) -> RunResult {
     let stats_before = hier.stats();
@@ -471,7 +471,7 @@ pub(crate) fn run_fork(
         mem: &mut mem,
         predictor: predictor.as_mut(),
         prog,
-        dec,
+        dec: prog.decoded().instrs(),
         s,
         sh: &mut Shared::new(cfg.div_ports, 1),
         cycle: 0,
@@ -561,10 +561,6 @@ pub struct Cpu {
     pub(crate) predictors: Vec<Box<dyn Predictor>>,
     /// One scheduling context per hardware thread, grown on demand.
     pub(crate) ctxs: Vec<ThreadCtx>,
-    /// Reusable µop-table buffers, one per thread: each run decodes the
-    /// programs' static instructions once into them (capacity persists
-    /// across calls).
-    pub(crate) decoded: Vec<Vec<DecodedInstr>>,
 }
 
 impl Cpu {
@@ -581,7 +577,6 @@ impl Cpu {
             hier: Hierarchy::new(hier_cfg),
             mem: DataMemory::new(),
             ctxs: vec![ThreadCtx::default()],
-            decoded: vec![Vec::new()],
         }
     }
 
@@ -631,9 +626,6 @@ impl Cpu {
         }
         while self.ctxs.len() < n {
             self.ctxs.push(ThreadCtx::default());
-        }
-        while self.decoded.len() < n {
-            self.decoded.push(Vec::new());
         }
     }
 
@@ -700,9 +692,8 @@ impl Cpu {
     fn run_event_driven(&mut self, progs: &[&Program]) -> Vec<RunResult> {
         let n = progs.len();
         self.ensure_threads(n);
-        for (tid, prog) in progs.iter().enumerate() {
-            self.ctxs[tid].reset(self.cfg.rob_size);
-            DecodedProgram::decode_into(prog, &mut self.decoded[tid]);
+        for ctx in &mut self.ctxs[..n] {
+            ctx.reset(self.cfg.rob_size);
         }
         SmtRun {
             cfg: self.cfg,
@@ -710,7 +701,6 @@ impl Cpu {
             mem: &mut self.mem,
             predictors: &mut self.predictors[..n],
             progs,
-            decs: &self.decoded[..n],
             ctxs: &mut self.ctxs[..n],
             shared: Shared::new(self.cfg.div_ports, n),
             cycle: 0,
@@ -743,7 +733,6 @@ struct SmtRun<'a> {
     mem: &'a mut DataMemory,
     predictors: &'a mut [Box<dyn Predictor>],
     progs: &'a [&'a Program],
-    decs: &'a [Vec<DecodedInstr>],
     ctxs: &'a mut [ThreadCtx],
     shared: Shared,
     cycle: u64,
@@ -758,7 +747,7 @@ impl SmtRun<'_> {
             mem: self.mem,
             predictor: self.predictors[tid].as_mut(),
             prog: self.progs[tid],
-            dec: &self.decs[tid],
+            dec: self.progs[tid].decoded().instrs(),
             s: &mut self.ctxs[tid],
             sh: &mut self.shared,
             cycle: self.cycle,
@@ -877,7 +866,7 @@ struct Pipeline<'a> {
     mem: &'a mut DataMemory,
     predictor: &'a mut dyn Predictor,
     prog: &'a Program,
-    /// Pre-decoded µop table, indexed by pc (parallel to `prog`).
+    /// `prog`'s µop table ([`Program::decoded`]), indexed by pc.
     dec: &'a [DecodedInstr],
     s: &'a mut ThreadCtx,
     sh: &'a mut Shared,

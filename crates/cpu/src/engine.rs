@@ -14,10 +14,11 @@
 //!   ([`batch::par_map`](crate::batch::par_map) workers can all fork from
 //!   the same snapshot). A sweep warms one machine, snapshots it, and
 //!   forks it per point instead of re-running warmup per point.
-//! * **Shared µop tables**: each *distinct* program in one call is decoded
-//!   once; every lane running that program indexes the same table. A
-//!   countermeasure or repeat-count sweep that runs the same gadget N
-//!   times decodes it once.
+//! * **Shared µop tables**: a program carries its µop table, decoded
+//!   once when it was built ([`Program::decoded`]); every lane running
+//!   that program indexes the same table, and the engine decodes
+//!   nothing. A countermeasure or repeat-count sweep that runs the same
+//!   gadget N times decodes it once.
 //! * **Copy-on-write lane memory**: forking a lane clones the snapshot's
 //!   [`Hierarchy`](racer_mem::Hierarchy), which shares cache storage in
 //!   `Arc`-backed chunks and only materialises the chunks the lane
@@ -65,7 +66,7 @@ use crate::config::{Backend, CpuConfig};
 use crate::core::{self, Cpu, ThreadCtx};
 use crate::predictor::Predictor;
 use crate::stats::RunResult;
-use racer_isa::{DataMemory, DecodedInstr, DecodedProgram, Program};
+use racer_isa::{DataMemory, Program};
 use racer_mem::{Hierarchy, HierarchyConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -140,15 +141,13 @@ impl Snapshot {
             mem: self.inner.mem.clone(),
             predictors: vec![self.inner.predictor.clone_box()],
             ctxs: vec![ThreadCtx::default()],
-            decoded: vec![Vec::new()],
         }
     }
 
     /// Run each of `progs` on an independent fork of this snapshot and
     /// return one [`RunResult`] per program, in input order — the
-    /// single-source form of [`fork_and_run`]. Lanes with equal programs
-    /// share one decoded µop table; results are bit-identical to
-    /// `self.fork().run_one(prog, Backend::EventDriven)` per program.
+    /// single-source form of [`fork_and_run`]. Results are bit-identical
+    /// to `self.fork().run_one(prog, Backend::EventDriven)` per program.
     pub fn run_many(&self, progs: &[Program]) -> Vec<RunResult> {
         fork_and_run(progs.iter().map(|p| (self, p)))
     }
@@ -160,29 +159,19 @@ impl Snapshot {
 ///
 /// Lanes may fork from different snapshots — distinct cache layouts,
 /// jitter seeds, planted secrets, even distinct [`CpuConfig`]s: each lane
-/// runs under its own snapshot's config. Equal programs share one decoded
-/// µop table per call, and one scheduling context is reset and reused for
-/// every lane. Each result is bit-identical to
+/// runs under its own snapshot's config. Each lane reads its program's own
+/// µop table ([`Program::decoded`]), and one scheduling context is reset
+/// and reused for every lane. Each result is bit-identical to
 /// `snap.fork().run_one(prog, Backend::EventDriven)`; the snapshots are
 /// untouched.
 pub fn fork_and_run<'a, I>(lanes: I) -> Vec<RunResult>
 where
     I: IntoIterator<Item = (&'a Snapshot, &'a Program)>,
 {
-    let mut decoded: Vec<(&Program, Vec<DecodedInstr>)> = Vec::new();
     let mut ctx = ThreadCtx::default();
     lanes
         .into_iter()
         .map(|(snap, prog)| {
-            let idx = match decoded.iter().position(|(p, _)| *p == prog) {
-                Some(i) => i,
-                None => {
-                    let mut dec = Vec::new();
-                    DecodedProgram::decode_into(prog, &mut dec);
-                    decoded.push((prog, dec));
-                    decoded.len() - 1
-                }
-            };
             let src = &snap.inner;
             ctx.reset(src.cfg.rob_size);
             core::run_fork(
@@ -191,7 +180,6 @@ where
                 src.mem.clone(),
                 src.predictor.clone_box(),
                 prog,
-                &decoded[idx].1,
                 &mut ctx,
             )
         })

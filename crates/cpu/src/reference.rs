@@ -25,9 +25,7 @@
 use crate::config::{Countermeasure, CpuConfig};
 use crate::predictor::Predictor;
 use crate::stats::{LoadEvent, RunResult};
-use racer_isa::{
-    AluOp, DataMemory, DecodedProgram, FuClass, Instr, MemOperand, Program, Reg, NUM_REGS,
-};
+use racer_isa::{AluOp, DataMemory, FuClass, Instr, MemOperand, Program, Reg, NUM_REGS};
 use racer_mem::{AccessKind, Addr, Hierarchy, HitLevel};
 use std::collections::{HashMap, VecDeque};
 
@@ -153,12 +151,11 @@ pub(crate) struct RefPipeline<'a> {
     /// One predictor per hardware thread (same partitioning as the
     /// event-driven core).
     predictors: &'a mut [Box<dyn Predictor>],
+    /// One program per thread. Rename reads source lists and destinations
+    /// from each program's µop table ([`Program::decoded`]); *execution*
+    /// deliberately stays on [`Instr`] so the differential suite
+    /// cross-checks the decoder against the original instruction forms.
     progs: &'a [&'a Program],
-    /// Pre-decoded µop tables, one per thread (rename reads source lists
-    /// and destinations from them; *execution* deliberately stays on
-    /// [`Instr`] so the differential suite cross-checks the decoder
-    /// against the original instruction forms).
-    decs: Vec<DecodedProgram>,
     threads: Vec<RefThread>,
 
     cycle: u64,
@@ -188,7 +185,6 @@ impl<'a> RefPipeline<'a> {
             hier,
             mem,
             predictors,
-            decs: progs.iter().map(|p| DecodedProgram::decode(p)).collect(),
             threads: progs.iter().map(|_| RefThread::new(cfg.rob_size)).collect(),
             progs,
             cycle: 0,
@@ -534,7 +530,7 @@ impl<'a> RefPipeline<'a> {
                 t.trace[ti].committed = Some(self.cycle);
             }
             // Architectural register update + RAT release.
-            if let Some(dst) = self.decs[tid][entry.pc].dst {
+            if let Some(dst) = self.progs[tid].decoded()[entry.pc].dst {
                 t.arch_regs[dst.index()] = entry.result;
                 if t.rat[dst.index()] == Some(entry.seq) {
                     t.rat[dst.index()] = None;
@@ -874,7 +870,7 @@ impl<'a> RefPipeline<'a> {
             let seq = t.next_seq;
             t.next_seq += 1;
 
-            let d = &self.decs[tid][fetched.pc];
+            let d = &self.progs[tid].decoded()[fetched.pc];
             let srcs: Vec<(Reg, Src)> = d.srcs[..d.nsrcs as usize]
                 .iter()
                 .map(|&r| {
@@ -896,7 +892,7 @@ impl<'a> RefPipeline<'a> {
                 let rat = t.rat.clone();
                 t.checkpoints.insert(seq, rat);
             }
-            if let Some(dst) = self.decs[tid][fetched.pc].dst {
+            if let Some(dst) = self.progs[tid].decoded()[fetched.pc].dst {
                 t.rat[dst.index()] = Some(seq);
             }
             if let Instr::Fence = fetched.instr {

@@ -14,7 +14,7 @@
 //! accumulates (warm caches, trained predictors) across programs.
 
 use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RecordLevel, RunResult};
-use racer_isa::{AluOp, Cond, Instr, MemOperand, Operand, Program, Reg};
+use racer_isa::{AluOp, Cond, DecodedProgram, Instr, MemOperand, Operand, Program, Reg};
 use racer_mem::HierarchyConfig;
 use racer_rng::SplitMix64;
 
@@ -210,7 +210,8 @@ fn assert_equivalent(tag: &str, fast: &RunResult, slow: &RunResult) {
 /// Run `count` random programs through every [`Backend`] on a persistent
 /// pair of machines (warm caches + trained predictors accumulate
 /// identically). Every third program wraps its body in a counted
-/// backward-branch loop.
+/// backward-branch loop. Each program's own µop table must equal a fresh
+/// decode of its instructions, entry by entry.
 ///
 /// Each program also runs on a fork of the fast machine's *current*
 /// state ([`racer_cpu::Snapshot::run_many`]), which leaves the machine
@@ -229,10 +230,15 @@ fn run_differential(cfg: CpuConfig, seed: u64, count: usize, len: usize) {
             None
         };
         let prog = random_program(&mut rng, len, trips);
+        let tag = format!("cm={} program #{i}", cfg.countermeasure);
+        assert_eq!(
+            prog.decoded().instrs(),
+            DecodedProgram::decode(&prog).instrs(),
+            "{tag}: the program's µop table differs from a fresh decode"
+        );
         let forked = fast_cpu.snapshot().run_many(std::slice::from_ref(&prog));
         let fast = fast_cpu.run_one(&prog, Backend::EventDriven);
         let slow = slow_cpu.run_one(&prog, Backend::Reference);
-        let tag = format!("cm={} program #{i}", cfg.countermeasure);
         assert_equivalent(&format!("{tag} [event-driven vs reference]"), &fast, &slow);
         assert_equivalent(
             &format!("{tag} [forked vs event-driven]"),

@@ -14,7 +14,7 @@
 use racer_cpu::engine::fork_and_run;
 use racer_cpu::workloads::{alu_chain, memory_stream};
 use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RunResult, Snapshot, SnapshotCache};
-use racer_isa::{AluOp, Cond, Instr, MemOperand, Operand, Program, Reg};
+use racer_isa::{AluOp, Asm, Cond, Instr, MemOperand, Operand, Program, Reg};
 use racer_mem::HierarchyConfig;
 use racer_rng::SplitMix64;
 
@@ -262,8 +262,8 @@ fn fork_and_run_mixes_heterogeneous_fork_sources() {
     // ALU kernel, warmed on the streaming kernel, and cold under a
     // different core config. One call, lanes alternating sources —
     // including the same program under different sources, which must
-    // share a decode table yet diverge in timing, each lane running
-    // under its own source's config.
+    // share the program's µop table yet diverge in timing, each lane
+    // running under its own source's config.
     let cfg = CpuConfig::coffee_lake().with_load_recording();
     let cold = Snapshot::cold(cfg, HierarchyConfig::coffee_lake());
     let warm_alu = {
@@ -431,4 +431,35 @@ fn run_many_leaves_the_parent_machine_untouched() {
     let direct = cpu.run_one(&prog, Backend::EventDriven);
     assert_bit_identical("repeated forked runs", &f1[0], &f2[0]);
     assert_bit_identical("forked vs event-driven", &f1[0], &direct);
+}
+
+#[test]
+fn counters_lane_matches_loads_lane_except_the_load_log() {
+    // One PLRU reorder-magnifier lane (five lines of one 4-way L1 set,
+    // six accesses a round, one masked dependent chain, DRAM jitter on):
+    // the recording level decides only whether load events are kept.
+    let rounds = 400;
+    let mut hier = HierarchyConfig::small_plru();
+    hier.memory_jitter = 30;
+    hier.seed = 7;
+    let set_stride = (hier.l1d.sets * 64) as i64;
+    let line = |k: i64| 0x10_0000 + k * set_stride;
+    let mut asm = Asm::new();
+    let (val, mask) = (asm.reg(), asm.reg());
+    for _ in 0..rounds {
+        for k in [2, 4, 2, 3, 2, 1] {
+            asm.and(mask, val, 0i64);
+            asm.load(val, MemOperand::base_disp(mask, line(k)));
+        }
+    }
+    asm.halt();
+    let prog = asm.assemble().expect("magnifier assembles");
+    let lane = |cfg: CpuConfig| fork_and_run([(&Snapshot::cold(cfg, hier), &prog)]).remove(0);
+
+    let counters = lane(CpuConfig::coffee_lake());
+    let mut loads = lane(CpuConfig::coffee_lake().with_load_recording());
+    assert!(counters.loads.is_empty());
+    assert_eq!(loads.loads.len(), 6 * rounds);
+    loads.loads.clear();
+    assert_bit_identical("counters vs loads lane", &counters, &loads);
 }

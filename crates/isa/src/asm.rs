@@ -4,8 +4,7 @@ use crate::instr::{AluOp, Cond, Instr, MemOperand, Operand};
 use crate::program::{Label, Program, ProgramError};
 use crate::reg::{Reg, NUM_REGS};
 
-/// A non-consuming builder for [`Program`]s, with labels and a fresh-register
-/// allocator.
+/// A builder for [`Program`]s, with labels and a fresh-register allocator.
 ///
 /// All gadget generators in the `hacky-racers` crate emit code through this
 /// type. Registers come from [`Asm::reg`] so that independent dependence
@@ -254,15 +253,17 @@ impl Asm {
 
     // ----- finishing --------------------------------------------------------
 
-    /// Resolve labels and validate, producing a [`Program`].
+    /// Resolve labels and validate, producing a [`Program`]. Consumes the
+    /// assembler, so the program takes over its instruction vector
+    /// instead of copying it.
     ///
     /// # Errors
     ///
     /// Returns [`ProgramError::UnboundLabel`] if any referenced label was
     /// never bound, or the underlying validation errors from
     /// [`Program::from_instrs`].
-    pub fn assemble(&self) -> Result<Program, ProgramError> {
-        let mut instrs = self.instrs.clone();
+    pub fn assemble(self) -> Result<Program, ProgramError> {
+        let mut instrs = self.instrs;
         for &(at, label) in &self.fixups {
             let pos = self.labels[label].ok_or(ProgramError::UnboundLabel { label })?;
             match &mut instrs[at] {

@@ -5,8 +5,9 @@
 //! (dispatch, issue, commit, the interpreter) re-derived the same static
 //! facts millions of times: the functional-unit class, the source-register
 //! list, the destination, the branch target, the memory-operand shape.
-//! [`DecodedProgram::decode`] computes those facts once per *static*
-//! instruction into a dense [`DecodedInstr`] table indexed by pc.
+//! Every [`Program`] computes those facts once per *static* instruction,
+//! when it is built, into a dense [`DecodedInstr`] table indexed by pc
+//! ([`Program::decoded`]); every run of the program reads that table.
 //!
 //! Two representation choices matter for the hot paths:
 //!
@@ -140,7 +141,7 @@ pub enum DecodedOp {
 
 /// One pre-decoded instruction: the operation plus every static fact the
 /// pipeline stages used to recompute per dynamic instance.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Eq, PartialEq)]
 pub struct DecodedInstr {
     /// Slot-mapped operation.
     pub op: DecodedOp,
@@ -246,22 +247,22 @@ impl DecodedInstr {
 /// A [`Program`] decoded into a dense µop table, indexed by pc.
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
-    instrs: Vec<DecodedInstr>,
+    pub(crate) instrs: Vec<DecodedInstr>,
 }
 
 impl DecodedProgram {
-    /// Decode every static instruction of `prog`, once.
+    /// Decode every static instruction of `prog` afresh. Running a program
+    /// never calls this: [`Program::decoded`] holds the table decoded when
+    /// the program was built.
     pub fn decode(prog: &Program) -> Self {
-        DecodedProgram {
-            instrs: prog.instrs().iter().map(DecodedInstr::decode).collect(),
-        }
+        Self::decode_instrs(prog.instrs())
     }
 
-    /// Decode into `buf`, reusing its capacity (for callers that decode a
-    /// fresh program per run and want an allocation-free steady state).
-    pub fn decode_into(prog: &Program, buf: &mut Vec<DecodedInstr>) {
-        buf.clear();
-        buf.extend(prog.instrs().iter().map(DecodedInstr::decode));
+    /// Decode `instrs` into a table of exactly `instrs.len()` entries.
+    pub(crate) fn decode_instrs(instrs: &[Instr]) -> Self {
+        DecodedProgram {
+            instrs: instrs.iter().map(DecodedInstr::decode).collect(),
+        }
     }
 
     /// The decoded instructions, in program order.
@@ -449,8 +450,6 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
         assert!(matches!(d[2].op, DecodedOp::Halt));
-        let mut buf = Vec::new();
-        DecodedProgram::decode_into(&p, &mut buf);
-        assert_eq!(buf.len(), 3);
+        assert_eq!(p.decoded().instrs(), d.instrs());
     }
 }

@@ -9,11 +9,11 @@
 //!
 //! * [`Instr`] / [`AluOp`] / [`Cond`] — the instruction forms;
 //! * [`Program`] — a validated instruction sequence with resolved branch
-//!   targets;
+//!   targets and its µop table;
 //! * [`decode`] — pre-decoded µop tables ([`DecodedProgram`]): the static
 //!   facts (FU class, source list, destination, slot-mapped operands) every
 //!   hot consumer used to re-derive per dynamic instruction, computed once
-//!   per static instruction;
+//!   per static instruction when a [`Program`] is built;
 //! * [`Asm`] — a builder/assembler DSL with labels and a fresh-register
 //!   allocator, used by `hacky-racers` to generate gadget code;
 //! * [`deps`] — register dataflow analysis (the paper's §4 *chains* and

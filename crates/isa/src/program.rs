@@ -1,5 +1,6 @@
 //! Validated instruction sequences.
 
+use crate::decode::DecodedProgram;
 use crate::instr::Instr;
 use crate::reg::NUM_REGS;
 use std::fmt;
@@ -44,13 +45,17 @@ impl fmt::Display for ProgramError {
 
 impl std::error::Error for ProgramError {}
 
-/// A validated, immutable instruction sequence with resolved branch targets.
+/// A validated, immutable instruction sequence with resolved branch targets,
+/// carrying its µop table ([`Program::decoded`]), decoded once when the
+/// program is built.
 ///
 /// Build one with the [`Asm`](crate::Asm) assembler, or from raw
-/// instructions via [`Program::from_instrs`].
-#[derive(Clone, Debug, Eq, PartialEq)]
+/// instructions via [`Program::from_instrs`]. Equality and `Debug` cover
+/// the instructions only: the table is a pure function of them.
+#[derive(Clone)]
 pub struct Program {
     instrs: Vec<Instr>,
+    decoded: DecodedProgram,
 }
 
 impl Program {
@@ -60,7 +65,7 @@ impl Program {
     ///
     /// Returns [`ProgramError`] if the sequence is empty or any control-flow
     /// target is out of range.
-    pub fn from_instrs(instrs: Vec<Instr>) -> Result<Self, ProgramError> {
+    pub fn from_instrs(mut instrs: Vec<Instr>) -> Result<Self, ProgramError> {
         if instrs.is_empty() {
             return Err(ProgramError::Empty);
         }
@@ -78,12 +83,20 @@ impl Program {
                 debug_assert!(d.index() < NUM_REGS);
             }
         }
-        Ok(Program { instrs })
+        instrs.shrink_to_fit();
+        let decoded = DecodedProgram::decode_instrs(&instrs);
+        Ok(Program { instrs, decoded })
     }
 
     /// The instructions, in program order.
     pub fn instrs(&self) -> &[Instr] {
         &self.instrs
+    }
+
+    /// The µop table, indexed by pc: every instruction decoded once, when
+    /// the program was built.
+    pub fn decoded(&self) -> &DecodedProgram {
+        &self.decoded
     }
 
     /// Number of instructions.
@@ -109,6 +122,22 @@ impl Program {
             let _ = writeln!(s, "{i:5}: {instr}");
         }
         s
+    }
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.instrs == other.instrs
+    }
+}
+
+impl Eq for Program {}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("instrs", &self.instrs)
+            .finish()
     }
 }
 
@@ -156,6 +185,39 @@ mod tests {
         assert!(matches!(p.get(1), Some(Instr::Halt)));
         assert!(p.get(2).is_none());
         assert!(p.listing().contains("halt"));
+    }
+
+    fn halting(n: usize) -> Program {
+        let mut asm = crate::Asm::new();
+        let r = asm.reg();
+        for i in 0..n {
+            asm.addi(r, r, i as i64);
+        }
+        asm.halt();
+        asm.assemble().unwrap()
+    }
+
+    #[test]
+    fn equality_and_debug_cover_the_instructions_only() {
+        let (a, b) = (halting(40), halting(40));
+        assert_eq!(a, b);
+        assert_eq!(a, a.clone());
+        assert_ne!(a, halting(41));
+        assert_eq!(
+            format!("{a:?}"),
+            format!("Program {{ instrs: {:?} }}", a.instrs())
+        );
+    }
+
+    #[test]
+    fn assembled_program_holds_exactly_len_entries() {
+        // 1000 pushes leave the assembler's vector with spare capacity;
+        // the program must not keep it, nor over-allocate its table.
+        let p = halting(999);
+        assert_eq!(p.len(), 1000);
+        assert_eq!(p.instrs.capacity(), p.len());
+        assert_eq!(p.decoded().len(), p.len());
+        assert_eq!(p.decoded().instrs.capacity(), p.len());
     }
 
     #[test]
