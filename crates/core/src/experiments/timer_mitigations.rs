@@ -23,12 +23,9 @@ pub struct MitigationPoint {
     pub timer: String,
     /// Magnifier rounds per transmission.
     pub rounds: usize,
-    /// Bit-classification accuracy in [0.5, 1] (0.5 — chance — when this
-    /// shard scored no trials for the cell).
+    /// Bit-classification accuracy in [0.5, 1].
     pub accuracy: f64,
-    /// Transmissions actually scored for this cell: the full `trials`
-    /// count on an unsharded run, this shard's share otherwise. The
-    /// weight `racer-lab merge` folds shard accuracies by.
+    /// Transmissions scored for this cell: always the sweep's `trials`.
     pub trials: usize,
 }
 
@@ -44,61 +41,34 @@ fn build_timer(name: &str, seed: u64) -> Box<dyn Timer> {
 }
 
 /// Transmit `trials` known bits per (timer, rounds) cell; score accuracy.
-pub fn sweep(timers: &[&str], round_counts: &[usize], trials: usize) -> Vec<MitigationPoint> {
-    sweep_sharded(timers, round_counts, trials, 1, 1)
-}
-
-/// [`sweep`], restricted to the `shard_k`-th of `shard_n` deterministic
-/// slices of the **trial axis**: trial `t` runs when
-/// `t % shard_n == shard_k - 1`. Each trial derives both its machine
-/// *and its timer* (whose jitter stream is stateful) from its own index,
-/// so a shard computes exactly the transmissions the full run would have
-/// made for those trials, and CI legs can split one paper-scale sweep
-/// and fold the reports back together with `racer-lab merge` (accuracies
-/// weight by each point's `trials`).
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= shard_k <= shard_n`.
-pub fn sweep_sharded(
-    timers: &[&str],
-    round_counts: &[usize],
-    trials: usize,
-    shard_k: usize,
-    shard_n: usize,
-) -> Vec<MitigationPoint> {
-    sweep_sharded_on(
-        timers,
-        round_counts,
-        trials,
-        shard_k,
-        shard_n,
-        TrialPath::Batched,
-    )
-    .0
+/// Panics if `trials == 0`: a cell with no transmissions has no accuracy.
+pub fn sweep(timers: &[&str], round_counts: &[usize], trials: usize) -> Vec<MitigationPoint> {
+    sweep_on(timers, round_counts, trials, TrialPath::Batched).0
 }
 
-/// [`sweep_sharded`] with an explicit [`TrialPath`], additionally
-/// returning the total instructions the chosen path committed in heavy
-/// magnifier runs — the work metric the `scenario-e2e` perf rows
-/// normalise wall-clock by. Both paths return bit-identical points; the
-/// batched path commits `1/timers.len()` of the per-machine path's
-/// instructions (see the cell-grid note inside).
-pub fn sweep_sharded_on(
+/// [`sweep`] with an explicit [`TrialPath`], additionally returning the
+/// total instructions the chosen path committed in heavy magnifier runs —
+/// the work metric the `scenario-e2e` perf rows normalise wall-clock by.
+/// Both paths return bit-identical points; the batched path commits
+/// `1/timers.len()` of the per-machine path's instructions (see the
+/// cell-grid note inside).
+///
+/// # Panics
+///
+/// Panics if `trials == 0`, as [`sweep`] does.
+pub fn sweep_on(
     timers: &[&str],
     round_counts: &[usize],
     trials: usize,
-    shard_k: usize,
-    shard_n: usize,
     path: TrialPath,
 ) -> (Vec<MitigationPoint>, u64) {
-    assert!(
-        shard_k >= 1 && shard_k <= shard_n,
-        "shard must satisfy 1 <= K <= N, got {shard_k}/{shard_n}"
-    );
+    assert!(trials > 0, "a mitigation sweep needs at least one trial");
     match path {
-        TrialPath::PerMachine => sweep_per_machine(timers, round_counts, trials, shard_k, shard_n),
-        TrialPath::Batched => sweep_batched(timers, round_counts, trials, shard_k, shard_n),
+        TrialPath::PerMachine => sweep_per_machine(timers, round_counts, trials),
+        TrialPath::Batched => sweep_batched(timers, round_counts, trials),
     }
 }
 
@@ -108,8 +78,6 @@ fn sweep_per_machine(
     timers: &[&str],
     round_counts: &[usize],
     trials: usize,
-    shard_k: usize,
-    shard_n: usize,
 ) -> (Vec<MitigationPoint>, u64) {
     let mut committed = 0u64;
     let mut out = Vec::new();
@@ -117,13 +85,10 @@ fn sweep_per_machine(
         for &rounds in round_counts {
             let mut zeros = Vec::new();
             let mut ones = Vec::new();
-            let mut scored = 0usize;
-            for t in (0..trials).filter(|t| t % shard_n == shard_k - 1) {
-                scored += 1;
-                // One timer per trial, seeded by the trial index: a
-                // stateful timer's jitter stream must not depend on which
-                // other trials ran in this process, or shards would not
-                // be trial-decomposable.
+            for t in 0..trials {
+                // One timer per trial, seeded by the trial index, so a
+                // stateful timer's jitter stream is the same on both
+                // trial paths.
                 let mut timer = build_timer(tname, 0xBEEF ^ (t as u64).wrapping_mul(0x9E37));
                 for bit in [false, true] {
                     let mut m = prepared_machine(t, bit, rounds);
@@ -140,7 +105,7 @@ fn sweep_per_machine(
                     }
                 }
             }
-            out.push(score_cell(tname, rounds, scored, &zeros, &ones));
+            out.push(score_cell(tname, rounds, trials, &zeros, &ones));
         }
     }
     (out, committed)
@@ -161,16 +126,12 @@ fn sweep_batched(
     timers: &[&str],
     round_counts: &[usize],
     trials: usize,
-    shard_k: usize,
-    shard_n: usize,
 ) -> (Vec<MitigationPoint>, u64) {
-    let scored: Vec<usize> = (0..trials).filter(|t| t % shard_n == shard_k - 1).collect();
     // Prepared machines in (rounds, trial, bit) order, then one shared
     // program per rounds value.
-    let mut cells: Vec<(Machine, usize)> =
-        Vec::with_capacity(round_counts.len() * scored.len() * 2);
+    let mut cells: Vec<(Machine, usize)> = Vec::with_capacity(round_counts.len() * trials * 2);
     for (ri, &rounds) in round_counts.iter().enumerate() {
-        for &t in &scored {
+        for t in 0..trials {
             for bit in [false, true] {
                 cells.push((prepared_machine(t, bit, rounds), ri));
             }
@@ -197,10 +158,10 @@ fn sweep_batched(
         for (ri, &rounds) in round_counts.iter().enumerate() {
             let mut zeros = Vec::new();
             let mut ones = Vec::new();
-            for (ti, &t) in scored.iter().enumerate() {
+            for t in 0..trials {
                 let mut timer = build_timer(tname, 0xBEEF ^ (t as u64).wrapping_mul(0x9E37));
                 for bit in [false, true] {
-                    let idx = (ri * scored.len() + ti) * 2 + usize::from(bit);
+                    let idx = (ri * trials + t) * 2 + usize::from(bit);
                     // Exactly `run_timed` on a zero-clock machine.
                     let obs = timer.measure(0.0, cfg.cycles_to_ns(results[idx].cycles));
                     if bit {
@@ -210,7 +171,7 @@ fn sweep_batched(
                     }
                 }
             }
-            out.push(score_cell(tname, rounds, scored.len(), &zeros, &ones));
+            out.push(score_cell(tname, rounds, trials, &zeros, &ones));
         }
     }
     (out, committed)
@@ -236,26 +197,19 @@ fn prepared_machine(t: usize, bit: bool, rounds: usize) -> Machine {
     m
 }
 
-/// Fold one (timer, rounds) cell's observations into a point. A shard
-/// can own zero trials of a cell (more shards than trials): record
-/// chance accuracy at weight zero so the merge ignores it.
+/// Fold one (timer, rounds) cell's observations into a point.
 fn score_cell(
     tname: &str,
     rounds: usize,
-    scored: usize,
+    trials: usize,
     zeros: &[f64],
     ones: &[f64],
 ) -> MitigationPoint {
-    let accuracy = if scored == 0 {
-        0.5
-    } else {
-        stats::best_threshold(zeros, ones).1
-    };
     MitigationPoint {
         timer: tname.to_string(),
         rounds,
-        accuracy,
-        trials: scored,
+        accuracy: stats::best_threshold(zeros, ones).1,
+        trials,
     }
 }
 
@@ -342,63 +296,17 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_the_trial_axis() {
-        // Every cell exists in every shard; the scored trial counts of the
-        // N shards sum to the full run's, and a shard owning no trials of
-        // a cell reports chance accuracy at weight zero.
-        let full = sweep(&["5us"], &[500], 3);
-        assert_eq!(full[0].trials, 3);
-        let shards: Vec<_> = (1..=4)
-            .map(|k| sweep_sharded(&["5us"], &[500], 3, k, 4))
-            .collect();
-        let total: usize = shards.iter().map(|s| s[0].trials).sum();
-        assert_eq!(total, 3, "4 shards of 3 trials cover each trial once");
-        let empty = &shards[3][0];
-        assert_eq!((empty.trials, empty.accuracy), (0, 0.5));
-    }
-
-    #[test]
-    fn shard_one_of_one_is_the_full_sweep() {
-        let full = sweep(&["5us"], &[1000], 2);
-        let one = sweep_sharded(&["5us"], &[1000], 2, 1, 1);
-        assert_eq!(full[0].accuracy, one[0].accuracy);
-        assert_eq!(full[0].trials, one[0].trials);
-    }
-
-    #[test]
-    fn stateful_timer_trials_are_shard_decomposable() {
-        // The jitter timer's RNG stream is per-trial (seeded by trial
-        // index), so a trial's transmissions are identical no matter which
-        // sharding selected it: trial 0 alone, trial 0 as the 1/2 slice of
-        // two, and trial 1 under two different shardings must all agree.
-        for timer in ["5us+jitter", "fuzzy-5us"] {
-            let full_t0 = sweep(&[timer], &[1000], 1);
-            let shard_t0 = sweep_sharded(&[timer], &[1000], 2, 1, 2);
-            assert_eq!(
-                full_t0[0].accuracy, shard_t0[0].accuracy,
-                "{timer}: trial 0 must not depend on the sharding"
-            );
-            let t1_of_2 = sweep_sharded(&[timer], &[1000], 2, 2, 2);
-            let t1_of_3 = sweep_sharded(&[timer], &[1000], 3, 2, 3);
-            assert_eq!(
-                t1_of_2[0].accuracy, t1_of_3[0].accuracy,
-                "{timer}: trial 1 must not depend on the trial-axis shape"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shard must satisfy")]
-    fn invalid_shard_is_rejected() {
-        let _ = sweep_sharded(&["5us"], &[500], 2, 3, 2);
+    #[should_panic(expected = "at least one trial")]
+    fn zero_trials_are_rejected() {
+        let _ = sweep(&["5us"], &[500], 0);
     }
 
     #[test]
     fn batched_and_per_machine_paths_agree_exactly() {
         let timers = ["5us", "5us+jitter", "fuzzy-5us"];
         let rounds = [400, 1000];
-        let (b, bc) = sweep_sharded_on(&timers, &rounds, 3, 1, 1, TrialPath::Batched);
-        let (p, pc) = sweep_sharded_on(&timers, &rounds, 3, 1, 1, TrialPath::PerMachine);
+        let (b, bc) = sweep_on(&timers, &rounds, 3, TrialPath::Batched);
+        let (p, pc) = sweep_on(&timers, &rounds, 3, TrialPath::PerMachine);
         assert_eq!(b.len(), p.len());
         for (x, y) in b.iter().zip(&p) {
             assert_eq!(
@@ -428,17 +336,5 @@ mod tests {
         let r = &run_lanes_batched(&[(m, &prog)])[0];
         assert!(r.halted && r.committed > 300);
         assert!(r.loads.is_empty(), "{} load events kept", r.loads.len());
-    }
-
-    #[test]
-    fn batched_shards_still_partition_the_trial_axis() {
-        // Sharding applies before the grid is built: a shard's batched
-        // grid covers exactly its own trials.
-        let full = sweep(&["5us+jitter"], &[800], 4);
-        let folded: Vec<_> = (1..=2)
-            .map(|k| sweep_sharded(&["5us+jitter"], &[800], 4, k, 2))
-            .collect();
-        let total: usize = folded.iter().map(|s| s[0].trials).sum();
-        assert_eq!(total, full[0].trials);
     }
 }

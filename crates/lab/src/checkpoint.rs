@@ -1,24 +1,22 @@
 //! The checkpoint journal: crash-safe run resumption.
 //!
 //! `racer-lab run --checkpoint <dir>` journals every completed unit of
-//! work (one scenario run — for trial-sharded sweeps, one shard) as an
-//! append-only record in `<dir>`, written atomically via
-//! [`crate::fsio::write_atomic`]. Re-running the same command resumes:
-//! units whose record is already journaled are skipped and their reports
-//! replayed byte-for-byte from the journal, so an interrupted sweep
-//! resumed to completion produces output byte-identical to a run that
-//! never failed.
+//! work (one scenario run) as an append-only record in `<dir>`, written
+//! atomically via [`crate::fsio::write_atomic`]. Re-running the same
+//! command resumes: units whose record is already journaled are skipped
+//! and their reports replayed byte-for-byte from the journal, so an
+//! interrupted sweep resumed to completion produces output byte-identical
+//! to a run that never failed.
 //!
 //! Records are keyed by the same identity idea the dashboard's
 //! quick-vs-paper delta tables use (PR 5): not positional paths but the
 //! *rendered values* that make a unit what it is — scenario name, scale,
-//! seed, and the full resolved config (which includes the `shard` slice
-//! for trial-sharded runs). Different keys journal side by side — that is
-//! how one journal accumulates a sharded sweep's slices for
-//! `merge --from-checkpoint`. A record that is unreadable, or whose
-//! stored key disagrees with the file it sits in, is a
-//! [`LabError::CheckpointConflict`]: the atomic-write protocol never
-//! produces either state, so the journal is not ours to trust.
+//! seed, and the full resolved config. Different keys journal side by
+//! side, so one journal can serve runs of several scenarios, seeds or
+//! scales. A record that is unreadable, or whose stored key disagrees
+//! with the file it sits in, is a [`LabError::CheckpointConflict`]: the
+//! atomic-write protocol never produces either state, so the journal is
+//! not ours to trust.
 //!
 //! One record file per unit (`<scenario>-<keyhash>.json`):
 //!
@@ -144,45 +142,6 @@ impl Checkpoint {
             .with("report", report.clone());
         fsio::write_atomic(&self.record_path(scenario, key), &doc.to_pretty())
     }
-
-    /// Every journaled record, as `(file name, scenario, report)` sorted
-    /// by file name. Unreadable records are conflicts, as in [`Self::load`].
-    pub fn records(&self) -> Result<Vec<(String, String, Value)>, LabError> {
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| LabError::io(format!("reading {}", self.dir.display()), e))?;
-        let mut files: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "json") && p.is_file())
-            .collect();
-        files.sort();
-        let mut out = Vec::new();
-        for path in files {
-            let doc = fsio::parse_json(&path).map_err(|e| {
-                LabError::conflict(format!("unreadable journal record {}: {e}", path.display()))
-            })?;
-            if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-                return Err(LabError::conflict(format!(
-                    "{} is not a {SCHEMA} record",
-                    path.display()
-                )));
-            }
-            let scenario = doc
-                .get("scenario")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string();
-            let report = doc
-                .get("report")
-                .cloned()
-                .ok_or_else(|| LabError::conflict(format!("{} has no report", path.display())))?;
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            out.push((name, scenario, report));
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -217,11 +176,7 @@ mod tests {
         assert_eq!(ckpt.load("sc", &key).unwrap(), None);
         let report = Value::object().with("schema", "racer-lab/v1").with("x", 1);
         ckpt.record("sc", &key, &report).unwrap();
-        assert_eq!(ckpt.load("sc", &key).unwrap(), Some(report.clone()));
-        let records = ckpt.records().unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].1, "sc");
-        assert_eq!(records[0].2, report);
+        assert_eq!(ckpt.load("sc", &key).unwrap(), Some(report));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -250,13 +205,13 @@ mod tests {
     fn corrupt_records_are_conflicts_not_panics() {
         let dir = tmp("corrupt");
         let ckpt = Checkpoint::open(&dir).unwrap();
-        std::fs::write(dir.join("sc-0000000000000000.json"), "{ truncated").unwrap();
-        let key = "sc|quick|seed=0|{}";
-        // load() only sees the record at its own hash; records() sees all.
-        assert!(ckpt.records().is_err());
-        let err = ckpt.records().unwrap_err();
+        let key = identity_key("sc", Scale::Quick, 0, &params(3));
+        std::fs::write(ckpt.record_path("sc", &key), "{ truncated").unwrap();
+        let err = ckpt.load("sc", &key).unwrap_err();
         assert_eq!(err.kind(), "checkpoint-conflict");
-        assert!(ckpt.load("sc", key).is_ok(), "other units stay loadable");
+        // load() only reads the record at its own key's hash.
+        let other = identity_key("sc", Scale::Quick, 1, &params(3));
+        assert_eq!(ckpt.load("sc", &other).unwrap(), None, "other units load");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,11 @@
 //! The `racer-lab` command-line interface.
 //!
 //! ```text
-//! racer-lab list [--json | --names-json] [--shard K/N]
+//! racer-lab list [--json | --names-json]
 //! racer-lab describe <scenario>
 //! racer-lab run <scenario>... | --all  [--quick|--paper] [--set k=v]...
 //!                                      [--seed N] [--out DIR] [--quiet]
-//!                                      [--shard K/N] [--checkpoint DIR]
-//!                                      [--timeout-secs N]
+//!                                      [--checkpoint DIR] [--timeout-secs N]
 //! racer-lab report <out-dir> [results...] [--keep-going]
 //! racer-lab perf-check [--baseline PATH] [--tolerance F] [--quick|--paper]
 //! ```
@@ -22,7 +21,7 @@ use crate::registry::{registry, Scenario};
 use crate::runner::{failed_report, resolve_params, run_scenario, Report, RunOptions};
 use racer_results::Value;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// CLI outcome: what `main` should do after `run`.
 pub enum Outcome {
@@ -48,10 +47,6 @@ pub fn dispatch(args: &[String]) -> Result<Outcome, LabError> {
             Ok(Outcome::Ok)
         }
         Some("run") => run(&args[1..]),
-        Some("merge") => {
-            merge(&args[1..])?;
-            Ok(Outcome::Ok)
-        }
         Some("report") => report(&args[1..]),
         Some("perf-check") => perf_check(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
@@ -69,28 +64,18 @@ fn usage() -> &'static str {
     "racer-lab — registry-driven experiment runner\n\
      \n\
      USAGE:\n\
-     \x20 racer-lab list [--json | --names-json] [--shard K/N]\n\
+     \x20 racer-lab list [--json | --names-json]\n\
      \x20 racer-lab describe <scenario>\n\
      \x20 racer-lab run <scenario>... | --all  [--quick|--paper] [--set k=v]...\n\
      \x20                                      [--seed N] [--out DIR] [--quiet]\n\
-     \x20                                      [--shard K/N] [--checkpoint DIR]\n\
-     \x20                                      [--timeout-secs N]\n\
-     \x20 racer-lab merge <out.json> <shard.json> <shard.json>...\n\
-     \x20 racer-lab merge <out.json> --from-checkpoint <dir>\n\
+     \x20                                      [--checkpoint DIR] [--timeout-secs N]\n\
      \x20 racer-lab report <out-dir> [results...] [--keep-going]\n\
      \x20 racer-lab perf-check [--baseline PATH] [--tolerance F] [--quick|--paper]\n\
      \n\
-     --shard K/N keeps the K-th of N deterministic slices of the selected\n\
-     scenario set (1-based; CI matrix legs use one slice each). Scenarios\n\
-     with their own `shard` parameter (timer_mitigations_eval) slice one\n\
-     sweep's trial axis instead: run each slice with --set shard=K/N into\n\
-     its own --out dir, then fold the reports with `merge` (accuracies\n\
-     combine by trial weight; provenance records the shard list).\n\
      Results are written to results/<scenario>.json (override with --out);\n\
      all writes are atomic (tmp sibling + rename).\n\
      --checkpoint DIR journals each completed scenario; re-running the same\n\
-     command resumes, replaying journaled reports byte-for-byte. `merge\n\
-     --from-checkpoint` folds a journal's records into one report.\n\
+     command resumes, replaying journaled reports byte-for-byte.\n\
      A panicking or timed-out (--timeout-secs) scenario is isolated and\n\
      recorded as a status:\"failed\" report cell; the run exits with the\n\
      documented code for the first failure (see docs/ARCHITECTURE.md).\n\
@@ -99,42 +84,9 @@ fn usage() -> &'static str {
      skips unreadable inputs with a warning and exits 9 if any were skipped."
 }
 
-/// Parse a `K/N` shard spec (1-based `K`, `1 <= K <= N`). Shared by the
-/// scenario-set `--shard` flag and scenarios with an intra-scenario
-/// `shard` parameter (e.g. `timer_mitigations_eval`'s trial axis).
-pub(crate) fn parse_shard(spec: &str) -> Result<(usize, usize), String> {
-    let err = || format!("--shard expects K/N with 1 <= K <= N, got {spec:?}");
-    let (k, n) = spec.split_once('/').ok_or_else(err)?;
-    let k: usize = k.parse().map_err(|_| err())?;
-    let n: usize = n.parse().map_err(|_| err())?;
-    if k == 0 || n == 0 || k > n {
-        return Err(err());
-    }
-    Ok((k, n))
-}
-
-/// Deterministic shard selection: order `scenarios` by registry index and
-/// keep every `n`-th entry starting at position `k - 1`. The `n` slices of
-/// any fixed selection are pairwise disjoint and their union is the whole
-/// selection — the property the CLI tests pin — so CI matrix legs can each
-/// run one slice and jointly cover everything exactly once.
-pub fn shard_select(mut scenarios: Vec<Scenario>, k: usize, n: usize) -> Vec<Scenario> {
-    let order: Vec<&str> = registry().iter().map(|s| s.name).collect();
-    let idx = |name: &str| order.iter().position(|&o| o == name).unwrap_or(usize::MAX);
-    scenarios.sort_by_key(|s| idx(s.name));
-    scenarios
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| i % n == k - 1)
-        .map(|(_, s)| s)
-        .collect()
-}
-
 fn list(args: &[String]) -> Result<(), String> {
-    let mut shard = None;
     let mut mode: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in args {
         match arg.as_str() {
             "--json" | "--names-json" => match mode {
                 None => mode = Some(arg.as_str()),
@@ -142,17 +94,10 @@ fn list(args: &[String]) -> Result<(), String> {
                     return Err(format!("{prev} and {arg} are mutually exclusive"));
                 }
             },
-            "--shard" => {
-                let spec = it.next().ok_or("--shard needs a value")?;
-                shard = Some(parse_shard(spec)?);
-            }
             other => return Err(format!("unknown list flag {other:?}")),
         }
     }
-    let scenarios = match shard {
-        Some((k, n)) => shard_select(registry(), k, n),
-        None => registry(),
-    };
+    let scenarios = registry();
     match mode {
         Some("--json") => {
             let v = Value::Array(
@@ -234,7 +179,6 @@ struct RunFlags {
     names: Vec<String>,
     baseline: PathBuf,
     tolerance: f64,
-    shard: Option<(usize, usize)>,
     checkpoint: Option<PathBuf>,
 }
 
@@ -247,7 +191,6 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
         names: Vec::new(),
         baseline: PathBuf::from("BENCH_pipeline.json"),
         tolerance: 0.30,
-        shard: None,
         checkpoint: None,
     };
     let mut it = args.iter();
@@ -284,7 +227,6 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
                 flags.opts.seed = Some(seed);
             }
             "--out" => flags.out_dir = PathBuf::from(value_of("--out")?),
-            "--shard" => flags.shard = Some(parse_shard(&value_of("--shard")?)?),
             "--checkpoint" => flags.checkpoint = Some(PathBuf::from(value_of("--checkpoint")?)),
             "--timeout-secs" => {
                 let v = value_of("--timeout-secs")?;
@@ -314,7 +256,7 @@ fn unknown_scenario(name: &str) -> String {
 
 fn run(args: &[String]) -> Result<Outcome, LabError> {
     let flags = parse_run_flags(args).map_err(LabError::usage)?;
-    let mut selected: Vec<Scenario> = if flags.all {
+    let selected: Vec<Scenario> = if flags.all {
         if !flags.names.is_empty() {
             return Err(LabError::usage("pass scenario names or --all, not both"));
         }
@@ -330,13 +272,6 @@ fn run(args: &[String]) -> Result<Outcome, LabError> {
             .map(|n| crate::registry::find(n).ok_or_else(|| LabError::usage(unknown_scenario(n))))
             .collect::<Result<_, _>>()?
     };
-    if let Some((k, n)) = flags.shard {
-        selected = shard_select(selected, k, n);
-        if selected.is_empty() {
-            println!("# shard {k}/{n} selects no scenarios");
-            return Ok(Outcome::Ok);
-        }
-    }
     let opts = &flags.opts;
 
     // Fail fast on bad parameters for *any* selected scenario before any
@@ -456,66 +391,6 @@ fn run(args: &[String]) -> Result<Outcome, LabError> {
         Some(first) => Err(first),
         None => Ok(Outcome::Ok),
     }
-}
-
-/// `racer-lab merge <out.json> <shard.json>...`: fold trial-axis shard
-/// reports of one scenario into a single report (see [`crate::merge`]).
-/// `merge <out.json> --from-checkpoint <dir>` folds the completed records
-/// of a (possibly partial) checkpoint journal instead, stamping
-/// `provenance.resumed` lineage on the result.
-fn merge(args: &[String]) -> Result<(), LabError> {
-    if args.iter().any(|a| a == "--from-checkpoint") {
-        return merge_from_checkpoint(args);
-    }
-    let (out, shards) = match args {
-        [] | [_] | [_, _] => {
-            return Err(LabError::usage(
-                "merge: expected <out.json> and at least two shard files \
-                 (or <out.json> --from-checkpoint <dir>)",
-            ))
-        }
-        [out, shards @ ..] => (PathBuf::from(out), shards),
-    };
-    let docs: Vec<(String, Value)> = shards
-        .iter()
-        .map(|path| Ok((path.clone(), crate::fsio::parse_json(Path::new(path))?)))
-        .collect::<Result<_, LabError>>()?;
-    let merged = crate::merge::merge_reports(&docs).map_err(LabError::usage)?;
-    crate::fsio::write_atomic(&out, &merged.to_pretty())?;
-    println!(
-        "# merged {} shard report(s) into {}",
-        docs.len(),
-        out.display()
-    );
-    Ok(())
-}
-
-fn merge_from_checkpoint(args: &[String]) -> Result<(), LabError> {
-    let (out, dir) = match args {
-        [out, flag, dir] if flag == "--from-checkpoint" => (PathBuf::from(out), PathBuf::from(dir)),
-        _ => {
-            return Err(LabError::usage(
-                "merge: expected <out.json> --from-checkpoint <dir>",
-            ))
-        }
-    };
-    if !dir.is_dir() {
-        return Err(LabError::io(
-            format!("reading checkpoint dir {}", dir.display()),
-            "not a directory",
-        ));
-    }
-    let ckpt = Checkpoint::open(&dir)?;
-    let records = ckpt.records()?;
-    let merged = crate::merge::merge_checkpoint(&dir.display().to_string(), &records)
-        .map_err(LabError::usage)?;
-    crate::fsio::write_atomic(&out, &merged.to_pretty())?;
-    println!(
-        "# merged {} checkpoint record(s) into {}",
-        records.len(),
-        out.display()
-    );
-    Ok(())
 }
 
 /// `racer-lab report <out-dir> [results...] [--keep-going]`: render
@@ -669,11 +544,6 @@ fn perf_check(args: &[String]) -> Result<Outcome, LabError> {
     let mut flags = parse_run_flags(args).map_err(LabError::usage)?;
     if !flags.names.is_empty() {
         return Err(LabError::usage("perf-check takes no scenario names"));
-    }
-    if flags.shard.is_some() {
-        return Err(LabError::usage(
-            "perf-check runs a single scenario; --shard does not apply",
-        ));
     }
     if flags.checkpoint.is_some() {
         return Err(LabError::usage(
@@ -1014,36 +884,6 @@ mod tests {
         assert!(md.contains("Gate **FAILED**: 1 workload(s) regressed."));
         let passed = render_verdicts_markdown(&verdicts[..1], 0.30);
         assert!(passed.contains("Gate **passed**."));
-    }
-
-    #[test]
-    fn shard_select_partitions_in_registry_order() {
-        let total = registry().len();
-        for n in [1usize, 2, 4, total] {
-            let mut seen = Vec::new();
-            for k in 1..=n {
-                let slice = shard_select(registry(), k, n);
-                for s in &slice {
-                    assert!(!seen.contains(&s.name), "{} in two shards", s.name);
-                    seen.push(s.name);
-                }
-            }
-            assert_eq!(seen.len(), total, "shards of {n} must cover the registry");
-        }
-        // Slices follow registry order round-robin.
-        let names: Vec<&str> = registry().iter().map(|s| s.name).collect();
-        let first = shard_select(registry(), 1, 2);
-        let expect: Vec<&str> = names.iter().copied().step_by(2).collect();
-        assert_eq!(first.iter().map(|s| s.name).collect::<Vec<_>>(), expect);
-    }
-
-    #[test]
-    fn shard_specs_validate() {
-        assert_eq!(parse_shard("1/1").unwrap(), (1, 1));
-        assert_eq!(parse_shard("3/7").unwrap(), (3, 7));
-        for bad in ["0/2", "3/2", "a/2", "2", "2/", "/2", "2/0"] {
-            assert!(parse_shard(bad).is_err(), "{bad:?} should be rejected");
-        }
     }
 
     #[test]

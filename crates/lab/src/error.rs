@@ -11,10 +11,10 @@
 //! |---:|---|---|
 //! | 0 | – | success |
 //! | 1 | – | perf gate failed (regression past tolerance) |
-//! | 2 | `usage` | bad flags, unknown command/scenario, invalid merge input |
+//! | 2 | `usage` | bad flags, unknown command/scenario |
 //! | 3 | `io` | filesystem read/write failure |
 //! | 4 | `parse` | malformed JSON in a report/baseline file |
-//! | 5 | `param` | invalid scenario parameter (`--set`, shard spec) |
+//! | 5 | `param` | invalid scenario parameter (`--set`: unknown, mistyped, negative count, `trials=0`) |
 //! | 6 | `scenario-panic` | a trial panicked; isolated and recorded as a failed cell |
 //! | 7 | `timeout` | a trial exceeded `--timeout-secs`; recorded as a failed cell |
 //! | 8 | `checkpoint-conflict` | checkpoint journal disagrees with the requested run |
@@ -25,8 +25,7 @@ use std::fmt;
 /// One pipeline failure, carrying enough context to be actionable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LabError {
-    /// Bad command line: unknown command, malformed flags, invalid merge
-    /// input sets.
+    /// Bad command line: unknown command, malformed flags.
     Usage(String),
     /// Filesystem failure. `context` names the operation and path.
     Io {
@@ -42,7 +41,7 @@ pub enum LabError {
         /// Parser diagnostic, including the byte offset.
         message: String,
     },
-    /// An invalid scenario parameter (preset override or shard spec).
+    /// An invalid scenario parameter (unknown, mistyped or out of range).
     Param {
         /// The scenario whose parameters were being resolved.
         scenario: String,

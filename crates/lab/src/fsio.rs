@@ -1,7 +1,7 @@
 //! Crash-safe filesystem primitives for the pipeline.
 //!
-//! Every result artefact (`results/*.json`, checkpoint records, merged
-//! reports, dashboard HTML, `BENCH_pipeline.json`) goes through
+//! Every result artefact (`results/*.json`, checkpoint records, dashboard
+//! HTML, `BENCH_pipeline.json`) goes through
 //! [`write_atomic`]: bytes land in a `<name>.tmp` sibling first and reach
 //! the final name only via `rename(2)`, which is atomic on POSIX
 //! filesystems. A process killed at any instant therefore leaves either

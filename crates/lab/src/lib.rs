@@ -42,7 +42,6 @@ pub mod cli;
 pub mod error;
 pub mod fault;
 pub mod fsio;
-pub mod merge;
 pub mod params;
 pub mod provenance;
 pub mod registry;
@@ -50,7 +49,6 @@ pub mod runner;
 pub mod scenarios;
 
 pub use checkpoint::Checkpoint;
-pub use cli::shard_select;
 pub use error::LabError;
 pub use fsio::write_atomic;
 pub use params::{ParamSpec, ParamValue, Scale};

@@ -208,7 +208,8 @@ pub struct ResolvedParams {
 
 impl ResolvedParams {
     /// Resolve `specs` under `scale`, then apply `(name, value)` overrides.
-    /// Unknown override names and kind mismatches are caller errors.
+    /// Unknown override names, kind mismatches and negative integers are
+    /// caller errors: every integer parameter is a count.
     pub fn resolve(
         specs: &[ParamSpec],
         scale: Scale,
@@ -227,6 +228,16 @@ impl ResolvedParams {
                 .preset(scale)
                 .parse_same_kind(text)
                 .map_err(|e| format!("parameter {key:?}: {e}"))?;
+            let negative = match &parsed {
+                ParamValue::Int(v) => *v < 0,
+                ParamValue::IntList(v) => v.iter().any(|&x| x < 0),
+                _ => false,
+            };
+            if negative {
+                return Err(format!(
+                    "parameter {key:?}: expected a non-negative count, got {text:?}"
+                ));
+            }
             let slot = values
                 .iter_mut()
                 .find(|(n, _)| n == key)

@@ -279,14 +279,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_misuse_is_a_param_error() {
+    fn negative_count_override_is_a_param_error() {
         let sc = find("timer_mitigations_eval").unwrap();
-        let opts = RunOptions {
-            overrides: vec![("shard".into(), "9/4".into())],
-            ..RunOptions::quick()
-        };
-        let err = run_scenario(&sc, &opts).unwrap_err();
-        assert_eq!(err.kind(), "param");
+        for (key, text) in [("trials", "-1"), ("rounds", "1000,-8")] {
+            let opts = RunOptions {
+                overrides: vec![(key.into(), text.into())],
+                ..RunOptions::quick()
+            };
+            let err = resolve_params(&sc, &opts).unwrap_err();
+            assert_eq!(err.kind(), "param");
+            assert_eq!(err.exit_code(), 5);
+            assert_eq!(run_scenario(&sc, &opts).unwrap_err().kind(), "param");
+        }
     }
 
     #[test]

@@ -220,24 +220,17 @@ fn mitigations_run(ctx: &RunContext) -> Result<ScenarioOutput, LabError> {
     let timer_refs: Vec<&str> = timers.iter().map(String::as_str).collect();
     let rounds = ctx.params.usize_list("rounds");
     let trials = ctx.params.usize("trials");
-    let (shard_k, shard_n) = crate::cli::parse_shard(ctx.params.str("shard")).map_err(|e| {
-        LabError::param(
+    if trials < 1 {
+        return Err(LabError::param(
             "timer_mitigations_eval",
-            format!("parameter \"shard\": {e}"),
-        )
-    })?;
-    let points = timer_mitigations::sweep_sharded(&timer_refs, &rounds, trials, shard_k, shard_n);
+            "parameter \"trials\": a cell needs at least one transmission, got 0",
+        ));
+    }
+    let points = timer_mitigations::sweep(&timer_refs, &rounds, trials);
     let mut text = header(
         "timer mitigations",
         "channel accuracy per timer model × magnifier rounds",
     );
-    if shard_n > 1 {
-        let _ = writeln!(
-            text,
-            "# trial-axis shard {shard_k}/{shard_n}: accuracies below score this slice's\n\
-             # trials only — fold the N shard reports with `racer-lab merge`."
-        );
-    }
     let _ = writeln!(text, "{}", timer_mitigations::render(&points, &rounds));
     let _ = writeln!(
         text,
@@ -272,12 +265,6 @@ fn timer_mitigations_eval() -> Scenario {
                 &[500, 2_000, 8_000, 40_000, 200_000],
             ),
             ParamSpec::int("trials", "transmissions per cell", 3, 8),
-            ParamSpec::str(
-                "shard",
-                "trial-axis slice K/N (CI legs run one slice each; merge folds them)",
-                "1/1",
-                "1/1",
-            ),
         ],
         seed: 0,
         deterministic: true,

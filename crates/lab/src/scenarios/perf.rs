@@ -317,22 +317,14 @@ fn run(ctx: &RunContext) -> Result<ScenarioOutput, LabError> {
     };
     {
         let start = Instant::now();
-        let (bp, _) = timer_mitigations::sweep_sharded_on(
-            &E2E_TIMERS,
-            &E2E_ROUNDS,
-            E2E_TRIALS,
-            1,
-            1,
-            TrialPath::Batched,
-        );
+        let (bp, _) =
+            timer_mitigations::sweep_on(&E2E_TIMERS, &E2E_ROUNDS, E2E_TRIALS, TrialPath::Batched);
         let batched_secs = start.elapsed().as_secs_f64();
         let start = Instant::now();
-        let (pp, pc) = timer_mitigations::sweep_sharded_on(
+        let (pp, pc) = timer_mitigations::sweep_on(
             &E2E_TIMERS,
             &E2E_ROUNDS,
             E2E_TRIALS,
-            1,
-            1,
             TrialPath::PerMachine,
         );
         let per_machine_secs = start.elapsed().as_secs_f64();

@@ -273,54 +273,3 @@ fn resuming_over_a_corrupted_journal_is_a_conflict() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("checkpoint conflict"));
     std::fs::remove_dir_all(&root).ok();
 }
-
-#[test]
-fn a_partial_checkpoint_merges_into_a_valid_report_with_lineage() {
-    let root = tmp("ckpt-merge");
-    let ckpt = root.join("ckpt");
-    let out_dir = root.join("out");
-    // Journal one completed unit, then kill before the second lands.
-    let killed = run_lab(
-        &out_dir,
-        Some("kill@checkpoint:detection_eval"),
-        &["--checkpoint", ckpt.to_str().unwrap()],
-    );
-    assert!(!killed.status.success());
-    let records = parsed_json_files(&ckpt);
-    if records.is_empty() {
-        // Parallel scheduling may abort before any record lands; the
-        // merge-of-nothing contract is covered by unit tests.
-        std::fs::remove_dir_all(&root).ok();
-        return;
-    }
-
-    let merged = root.join("merged.json");
-    let out = Command::new(bin())
-        .arg("merge")
-        .arg(&merged)
-        .arg("--from-checkpoint")
-        .arg(&ckpt)
-        .env_remove("RACER_FAULT_PLAN")
-        .output()
-        .expect("spawn racer-lab merge");
-    assert!(
-        out.status.success(),
-        "merge --from-checkpoint failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = Value::parse(&std::fs::read_to_string(&merged).unwrap())
-        .expect("merged report parses strictly");
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some("racer-lab/v1")
-    );
-    let resumed = doc
-        .get("provenance")
-        .and_then(|p| p.get("resumed"))
-        .expect("merged report records resumed lineage");
-    assert!(resumed
-        .get("checkpoint")
-        .and_then(Value::as_str)
-        .is_some_and(|c| c.contains("ckpt")));
-    std::fs::remove_dir_all(&root).ok();
-}

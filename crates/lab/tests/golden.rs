@@ -264,167 +264,23 @@ fn list_names_json_is_machine_readable() {
     assert!(names.iter().any(|n| n.as_str() == Some("perf_baseline")));
 }
 
-/// `--shard K/N` must slice the scenario set into pairwise-disjoint
-/// pieces whose union is exactly the unsharded list — the property CI
-/// matrix legs rely on to jointly cover every scenario exactly once.
+/// A sweep with fewer than one trial per cell measures nothing: `trials=0`
+/// and a negative count are parameter errors (exit 5), not a table of
+/// chance accuracies or a scenario panic.
 #[test]
-fn shard_slices_are_disjoint_and_union_complete() {
+fn trials_below_one_are_param_errors() {
     let bin = env!("CARGO_BIN_EXE_racer-lab");
-    let names = |args: &[&str]| -> Vec<String> {
-        let out = Command::new(bin).args(args).output().expect("spawn");
-        assert!(
-            out.status.success(),
-            "racer-lab {args:?} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        Value::parse(String::from_utf8_lossy(&out.stdout).trim())
-            .expect("JSON array")
-            .as_array()
-            .expect("array")
-            .iter()
-            .map(|v| v.as_str().expect("string").to_string())
-            .collect()
-    };
-    let full = names(&["list", "--names-json"]);
-    for n in [1usize, 2, 3, 5, full.len(), full.len() + 3] {
-        let mut union = Vec::new();
-        for k in 1..=n {
-            let shard = names(&["list", "--names-json", "--shard", &format!("{k}/{n}")]);
-            for name in &shard {
-                assert!(
-                    !union.contains(name),
-                    "scenario {name} appears in more than one shard of {n}"
-                );
-            }
-            union.extend(shard);
-        }
-        let mut sorted_union = union.clone();
-        sorted_union.sort();
-        let mut sorted_full = full.clone();
-        sorted_full.sort();
-        assert_eq!(
-            sorted_union, sorted_full,
-            "union of {n} shards must equal the full scenario set"
-        );
-    }
-}
-
-/// Intra-scenario sharding end to end: run `timer_mitigations_eval` with
-/// each trial-axis slice (`--set shard=K/N`), fold the shard reports with
-/// `racer-lab merge`, and check the merged report covers every cell with
-/// the full trial weight and records shard provenance.
-#[test]
-fn trial_shards_merge_into_one_report() {
-    let bin = env!("CARGO_BIN_EXE_racer-lab");
-    let tmp = std::env::temp_dir().join(format!("racer-lab-merge-{}", std::process::id()));
-    let shard_file = |k: usize| {
-        let dir = tmp.join(format!("shard{k}"));
+    let tmp = std::env::temp_dir().join(format!("racer-lab-trials-{}", std::process::id()));
+    for trials in ["0", "-1"] {
         let out = Command::new(bin)
-            .args([
-                "run",
-                "timer_mitigations_eval",
-                "--quick",
-                "--quiet",
-                "--set",
-                "timers=5us,1ms",
-                "--set",
-                "rounds=500",
-                "--set",
-                "trials=3",
-                "--set",
-                &format!("shard={k}/2"),
-                "--out",
-            ])
-            .arg(&dir)
+            .args(["run", "timer_mitigations_eval", "--quick", "--set"])
+            .arg(format!("trials={trials}"))
+            .arg("--out")
+            .arg(&tmp)
             .output()
             .expect("spawn racer-lab");
-        assert!(
-            out.status.success(),
-            "shard {k}/2 failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        dir.join("timer_mitigations_eval.json")
-    };
-    let (a, b) = (shard_file(1), shard_file(2));
-    let merged_path = tmp.join("merged.json");
-    let out = Command::new(bin)
-        .arg("merge")
-        .arg(&merged_path)
-        .arg(&a)
-        .arg(&b)
-        .output()
-        .expect("spawn racer-lab merge");
-    assert!(
-        out.status.success(),
-        "merge failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let merged = Value::parse(&std::fs::read_to_string(&merged_path).expect("merged file"))
-        .expect("merged report parses");
-    assert_eq!(
-        merged.get("scenario").and_then(Value::as_str),
-        Some("timer_mitigations_eval")
-    );
-    let points = merged
-        .get("results")
-        .and_then(|r| r.get("points"))
-        .and_then(Value::as_array)
-        .expect("merged points");
-    assert_eq!(points.len(), 2, "2 timers x 1 round count");
-    for p in points {
-        assert_eq!(
-            p.get("trials").and_then(Value::as_i64),
-            Some(3),
-            "shard trial counts must sum to the full trial axis"
-        );
-        let acc = p.get("accuracy").and_then(Value::as_f64).expect("accuracy");
-        assert!((0.5..=1.0).contains(&acc));
+        assert_eq!(out.status.code(), Some(5), "trials={trials}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("trials"));
     }
-    let shards = merged
-        .get("provenance")
-        .and_then(|p| p.get("merged"))
-        .and_then(|m| m.get("shards"))
-        .and_then(Value::as_array)
-        .expect("shard provenance");
-    let specs: Vec<&str> = shards.iter().filter_map(Value::as_str).collect();
-    assert_eq!(specs, ["1/2", "2/2"]);
-    // Too few inputs is a usage error (exit 2); an unreadable input is
-    // an IO error (exit 3) — see the taxonomy in racer_lab::error.
-    let bad = Command::new(bin)
-        .args(["merge", "just-one.json"])
-        .output()
-        .unwrap();
-    assert_eq!(bad.status.code(), Some(2));
-    let missing = Command::new(bin)
-        .arg("merge")
-        .arg(tmp.join("out.json"))
-        .args(["no-such-a.json", "no-such-b.json"])
-        .output()
-        .unwrap();
-    assert_eq!(missing.status.code(), Some(3));
     std::fs::remove_dir_all(&tmp).ok();
-}
-
-/// Bad shard specs are usage errors (exit 2), and an empty shard of an
-/// explicit selection exits cleanly without running anything.
-#[test]
-fn shard_validation_and_empty_shard() {
-    let bin = env!("CARGO_BIN_EXE_racer-lab");
-    for bad in ["0/3", "4/3", "x/2", "3", "2/0"] {
-        let out = Command::new(bin)
-            .args(["list", "--names-json", "--shard", bad])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(2), "spec {bad:?} must be rejected");
-    }
-    // One scenario split three ways: shard 2 is empty and must no-op.
-    let out = Command::new(bin)
-        .args(["run", "fig03_plru_walk", "--quick", "--shard", "2/3"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("selects no scenarios"),
-        "empty shard should say so"
-    );
 }

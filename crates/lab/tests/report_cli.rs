@@ -274,69 +274,3 @@ fn keep_going_skips_bad_inputs_and_signals_partial_success() {
 
     std::fs::remove_dir_all(&root).ok();
 }
-
-#[test]
-fn merged_shard_reports_render_with_lineage() {
-    let root = tmp("merged");
-    let shard = |k: usize| {
-        let dir = root.join(format!("shard{k}"));
-        let out = Command::new(bin())
-            .args([
-                "run",
-                "timer_mitigations_eval",
-                "--quick",
-                "--quiet",
-                "--set",
-                "timers=5us,1ms",
-                "--set",
-                "rounds=500",
-                "--set",
-                "trials=2",
-                "--set",
-                &format!("shard={k}/2"),
-                "--out",
-            ])
-            .arg(&dir)
-            .output()
-            .expect("spawn racer-lab run");
-        assert!(out.status.success());
-        dir.join("timer_mitigations_eval.json")
-    };
-    let (a, b) = (shard(1), shard(2));
-    let merged = root.join("merged/timer_mitigations_eval.json");
-    let out = Command::new(bin())
-        .arg("merge")
-        .arg(&merged)
-        .arg(&a)
-        .arg(&b)
-        .output()
-        .expect("spawn racer-lab merge");
-    assert!(
-        out.status.success(),
-        "merge failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let site = root.join("site");
-    let out = Command::new(bin())
-        .arg("report")
-        .arg(&site)
-        .arg(&merged)
-        .output()
-        .expect("spawn racer-lab report");
-    assert!(
-        out.status.success(),
-        "report failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let index = std::fs::read_to_string(site.join("index.html")).expect("index");
-    assert!(
-        index.contains("merged 1/2+2/2"),
-        "merge lineage on the index"
-    );
-    let page = std::fs::read_to_string(site.join("scenarios/timer_mitigations_eval.html"))
-        .expect("scenario page");
-    assert!(page.contains("merged shards"));
-    assert!(page.contains("1/2"));
-    assert!(Value::parse(&std::fs::read_to_string(&merged).expect("merged readable")).is_ok());
-    std::fs::remove_dir_all(&root).ok();
-}

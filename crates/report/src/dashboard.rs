@@ -382,26 +382,12 @@ fn index_page(
                 .get("seed")
                 .and_then(Value::as_i64)
                 .map_or("?".to_string(), |s| s.to_string());
-            let merged = prov
-                .and_then(|v| v.get("merged"))
-                .and_then(|m| m.get("shards"))
-                .and_then(Value::as_array)
-                .map(|shards| {
-                    shards
-                        .iter()
-                        .filter_map(Value::as_str)
-                        .collect::<Vec<_>>()
-                        .join("+")
-                });
             let mut cell = format!(
                 "{} &middot; seed {} &middot; git <code>{}</code>",
                 escape(p.scale),
                 escape(&seed),
                 escape(git)
             );
-            if let Some(shards) = merged {
-                let _ = write!(cell, " &middot; merged {}", escape(&shards));
-            }
             if let Some((kind, _)) = p.failed {
                 let _ = write!(
                     cell,
@@ -478,7 +464,7 @@ fn scenario_page(name: &str, members: &[&Parsed<'_>], meta: &[ScenarioMeta]) -> 
 }
 
 /// The provenance block: source file, envelope fields, generator
-/// identity, merge lineage and the resolved config.
+/// identity and the resolved config.
 fn provenance_block(p: &Parsed<'_>) -> String {
     let mut rows: Vec<(String, String)> = Vec::new();
     let code = |s: &str| format!("<code>{}</code>", escape(s));
@@ -500,24 +486,6 @@ fn provenance_block(p: &Parsed<'_>) -> String {
         }
         if let Some(git) = s("git") {
             rows.push(("git describe".to_string(), code(git)));
-        }
-        if let Some(merged) = prov.get("merged") {
-            let list = |key: &str| {
-                merged
-                    .get(key)
-                    .and_then(Value::as_array)
-                    .map(|items| {
-                        items
-                            .iter()
-                            .filter_map(Value::as_str)
-                            .map(code)
-                            .collect::<Vec<_>>()
-                            .join("<br>")
-                    })
-                    .unwrap_or_default()
-            };
-            rows.push(("merged from".to_string(), list("sources")));
-            rows.push(("merged shards".to_string(), list("shards")));
         }
     }
     if let Some(config) = p.doc.get("config").and_then(Value::members) {
@@ -1567,27 +1535,5 @@ mod tests {
             check_input(&wrong),
             Err(ReportError::WrongSchema { .. })
         ));
-    }
-
-    #[test]
-    fn merged_reports_show_their_lineage() {
-        let mut r = report("eval", "paper", sweep_results());
-        let Value::Object(members) = &mut r.doc else {
-            unreachable!()
-        };
-        for (k, v) in members.iter_mut() {
-            if k == "provenance" {
-                *v = v.clone().with(
-                    "merged",
-                    Value::object()
-                        .with("sources", vec!["a.json", "b.json"])
-                        .with("shards", vec!["1/2", "2/2"]),
-                );
-            }
-        }
-        let files = render_dashboard(&[r], &[]).unwrap();
-        assert!(files[0].content.contains("merged 1/2+2/2"));
-        assert!(files[1].content.contains("merged from"));
-        assert!(files[1].content.contains("a.json"));
     }
 }

@@ -4,7 +4,7 @@
 //! experiment runner stops at `results/*.json`. This crate closes the
 //! gap: it renders one or many report documents into a self-contained
 //! dashboard — an `index.html` listing every scenario with its
-//! provenance (git describe, seed, preset, merge lineage), plus one page
+//! provenance (git describe, seed, preset), plus one page
 //! per scenario with inline-SVG plots generated straight from the
 //! structured point series (line/scatter for sweeps, bar charts for
 //! suite-style rows, tables for everything else) and a quick-vs-paper

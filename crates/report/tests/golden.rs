@@ -3,7 +3,7 @@
 //! The fixture reports under `tests/fixtures/` are handwritten
 //! `racer-lab/v1` documents with pinned provenance (`git: "fixture0"`),
 //! covering every rendering shape: a grouped sweep with quick *and*
-//! paper presets (delta table + merge lineage), a nested point-series
+//! paper presets (delta table), a nested point-series
 //! figure, suite-style workload rows, and a boolean matrix. The rendered
 //! pages are committed under `tests/golden/` and must match byte for
 //! byte — the determinism the CI artifact and downstream diffing rely
@@ -179,16 +179,15 @@ fn every_fixture_scenario_gets_plots_and_provenance() {
         "perf_baseline",
         "countermeasures_eval",
         "fixture0",
-        "merged 1/2+2/2",
     ] {
         assert!(index.contains(needle), "index.html lacks {needle:?}");
     }
-    // Sweep page: grouped line chart, merge lineage, delta table.
+    // Sweep page: grouped line chart, both presets' sources, delta table.
     let sweep = page("scenarios/timer_mitigations_eval.html");
     assert!(sweep.contains("<svg"));
     assert!(sweep.contains("accuracy vs rounds by <code>timer</code>"));
     assert!(sweep.contains("quick vs paper"));
-    assert!(sweep.contains("shard1/timer_mitigations_eval.json"));
+    assert!(sweep.contains("fixtures/timer_mitigations_eval.paper.json"));
     // Figure page: nested series chart + per-series suite bars.
     let fig = page("scenarios/fig08_granularity_add.html");
     assert!(fig.contains("ref_ops vs target_ops"));
