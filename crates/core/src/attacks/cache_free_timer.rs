@@ -133,7 +133,7 @@ mod tests {
         m.flush(m.layout().sync);
         let prog = timer.program(&PathSpec::op_chain(AluOp::Mul, 20), 40);
         // Static check: the only memory instruction is the sync head.
-        let memory_instrs = prog.instrs().iter().filter(|i| i.is_memory()).count();
+        let memory_instrs = prog.iter().filter(|i| i.is_memory()).count();
         assert_eq!(memory_instrs, 1, "only the §4.1 sync head may touch memory");
         // Dynamic check: one L1 access in the whole run.
         let r = m.run(&prog);

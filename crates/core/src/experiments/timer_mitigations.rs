@@ -52,6 +52,9 @@ pub fn sweep(timers: &[&str], round_counts: &[usize], trials: usize) -> Vec<Miti
 /// [`sweep`] with an explicit [`TrialPath`], additionally returning the
 /// total instructions the chosen path committed in heavy magnifier runs —
 /// the work metric the `scenario-e2e` perf rows normalise wall-clock by.
+/// The count is logical: it includes the rounds the core fast-forwarded
+/// through instead of simulating (`RunResult::fast_forwarded`), so it is
+/// the same whether or not a lane settled.
 /// Both paths return bit-identical points; the batched path commits
 /// `1/timers.len()` of the per-machine path's instructions (see the
 /// cell-grid note inside).

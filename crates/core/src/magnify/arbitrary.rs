@@ -12,6 +12,16 @@
 //! With in-path prefetching (§6.3.1) PathB restores the initial state of
 //! sets `DIST` iterations ahead, so the finite cache magnifies an unbounded
 //! number of rounds (Figure 11).
+//!
+//! **Period: one traversal of the chosen sets** (two when the set count is
+//! odd, so both paths keep their parity). Every traversal clear of the end
+//! is one repeated region; the last one (no PAR after the final
+//! iteration, no prefetch beyond it) is emitted unrolled. Under FIFO
+//! replacement the machine repeats every traversal except for the ways
+//! the lines occupy, which rotate through an 8-way set in eight
+//! traversals; the core fast-forwards with that period. Random replacement
+//! draws from each set's generator on every eviction, so those lanes never
+//! repeat and always run in full.
 
 use crate::layout::Layout;
 use crate::machine::Machine;
@@ -133,54 +143,86 @@ impl ArbitraryReplacementMagnifier {
         asm.add(va, seed, 0i64);
         asm.add(vb, seed_b, 0i64);
 
-        for i in 0..total {
-            let s = self.set_of(i);
-            if i % 2 == 0 {
-                // PathA: SEQ_i chained, a pad, then PAR_{i+1} in parallel.
-                for k in 0..self.seq_len {
-                    let addr = self.layout.seq_line(l1, s, k);
-                    asm.and(ma, va, 0i64);
-                    asm.load(va, MemOperand::base_disp(ma, addr.0 as i64));
-                }
-                for _ in 0..self.iteration_pad {
-                    asm.add(va, va, 0i64);
-                }
-                if i + 1 < total {
-                    let sp = self.set_of(i + 1);
-                    asm.and(ma, va, 0i64);
-                    for k in 0..self.par_len {
-                        let addr = self.layout.par_line(l1, sp, k);
-                        asm.load(scratch, MemOperand::base_disp(ma, addr.0 as i64));
-                    }
-                }
-            } else {
-                // PathB: SEQ_i chained, the matching pad (keeping the two
-                // paths' iteration periods equal), plus prefetches DIST
-                // ahead to restore the initial state for later rounds
-                // (§6.3.1).
-                for k in 0..self.seq_len {
-                    let addr = self.layout.seq_line(l1, s, k);
-                    asm.and(mb, vb, 0i64);
-                    asm.load(vb, MemOperand::base_disp(mb, addr.0 as i64));
-                }
-                for _ in 0..self.iteration_pad {
-                    asm.add(vb, vb, 0i64);
-                }
-                if self.prefetch_dist > 0 && i + self.prefetch_dist < total {
-                    let sf = self.set_of(i + self.prefetch_dist);
-                    asm.and(mb, vb, 0i64);
-                    for _ in 0..self.prefetch_passes.max(1) {
-                        for k in 0..self.seq_len {
-                            let addr = self.layout.seq_line(l1, sf, k);
-                            asm.prefetch(MemOperand::base_disp(mb, addr.0 as i64));
-                        }
-                    }
-                }
+        let regs = [va, ma, vb, mb, scratch];
+        // Iteration `i`'s code depends only on `i` modulo the set count
+        // (and its parity), except where it looks past the last iteration
+        // (no PAR after it, no prefetch beyond it). So every traversal
+        // clear of the end is the same code: emit those as one repeated
+        // region, then the tail iterations one by one.
+        let unit = if self.num_sets.is_multiple_of(2) {
+            self.num_sets
+        } else {
+            2 * self.num_sets
+        };
+        let reach = self.prefetch_dist.max(1);
+        let full = total.saturating_sub(reach) / unit;
+        asm.repeat(full, |asm| {
+            for i in 0..unit {
+                self.emit_iteration(asm, l1, regs, i, total);
             }
+        });
+        for i in full * unit..total {
+            self.emit_iteration(&mut asm, l1, regs, i, total);
         }
         asm.halt();
         asm.assemble()
             .expect("arbitrary-replacement magnifier assembles")
+    }
+
+    /// Emit logical iteration `i` of `total`: PathA on even iterations,
+    /// PathB on odd ones. `regs` are the chain registers
+    /// `[va, ma, vb, mb, scratch]`.
+    fn emit_iteration(
+        &self,
+        asm: &mut Asm,
+        l1: &racer_mem::Cache,
+        regs: [racer_isa::Reg; 5],
+        i: usize,
+        total: usize,
+    ) {
+        let [va, ma, vb, mb, scratch] = regs;
+        let s = self.set_of(i);
+        if i.is_multiple_of(2) {
+            // PathA: SEQ_i chained, a pad, then PAR_{i+1} in parallel.
+            for k in 0..self.seq_len {
+                let addr = self.layout.seq_line(l1, s, k);
+                asm.and(ma, va, 0i64);
+                asm.load(va, MemOperand::base_disp(ma, addr.0 as i64));
+            }
+            for _ in 0..self.iteration_pad {
+                asm.add(va, va, 0i64);
+            }
+            if i + 1 < total {
+                let sp = self.set_of(i + 1);
+                asm.and(ma, va, 0i64);
+                for k in 0..self.par_len {
+                    let addr = self.layout.par_line(l1, sp, k);
+                    asm.load(scratch, MemOperand::base_disp(ma, addr.0 as i64));
+                }
+            }
+        } else {
+            // PathB: SEQ_i chained, the matching pad (keeping the two
+            // paths' iteration periods equal), plus prefetches DIST ahead
+            // to restore the initial state for later rounds (§6.3.1).
+            for k in 0..self.seq_len {
+                let addr = self.layout.seq_line(l1, s, k);
+                asm.and(mb, vb, 0i64);
+                asm.load(vb, MemOperand::base_disp(mb, addr.0 as i64));
+            }
+            for _ in 0..self.iteration_pad {
+                asm.add(vb, vb, 0i64);
+            }
+            if self.prefetch_dist > 0 && i + self.prefetch_dist < total {
+                let sf = self.set_of(i + self.prefetch_dist);
+                asm.and(mb, vb, 0i64);
+                for _ in 0..self.prefetch_passes.max(1) {
+                    for k in 0..self.seq_len {
+                        let addr = self.layout.seq_line(l1, sf, k);
+                        asm.prefetch(MemOperand::base_disp(mb, addr.0 as i64));
+                    }
+                }
+            }
+        }
     }
 
     /// Prepare, then run with `initial_delay`; returns total cycles.
@@ -209,6 +251,56 @@ mod tests {
         mag.repeats = repeats;
         mag.prefetch_dist = prefetch;
         mag
+    }
+
+    /// The program as one plain loop over every logical iteration — the
+    /// construction the repeated region must reproduce exactly.
+    fn unrolled_reference(
+        mag: &ArbitraryReplacementMagnifier,
+        m: &Machine,
+        delay: usize,
+    ) -> Vec<racer_isa::Instr> {
+        let l1 = m.cpu().hierarchy().l1d();
+        let total = mag.iterations();
+        let mut asm = Asm::new();
+        let seed = emit_sync_head(&mut asm, mag.layout.sync);
+        let seed_b = PathSpec::op_chain(racer_isa::AluOp::Add, delay).emit(&mut asm, seed);
+        let (va, ma) = (asm.reg(), asm.reg());
+        let (vb, mb) = (asm.reg(), asm.reg());
+        let scratch = asm.reg();
+        asm.add(va, seed, 0i64);
+        asm.add(vb, seed_b, 0i64);
+        for i in 0..total {
+            mag.emit_iteration(&mut asm, l1, [va, ma, vb, mb, scratch], i, total);
+        }
+        asm.halt();
+        asm.assemble().unwrap().iter().copied().collect()
+    }
+
+    #[test]
+    fn repeated_traversals_reproduce_the_unrolled_stream() {
+        let m = Machine::random_l1(3);
+        for (repeats, prefetch, rounds) in [
+            (0, 22, None),
+            (1, 22, None),
+            (2, 22, None),
+            (5, 22, Some(4)),
+            (5, 0, Some(4)),
+            (5, 40, Some(3)),
+        ] {
+            let mag = magnifier(repeats, prefetch);
+            let prog = mag.program(&m, 30);
+            assert_eq!(
+                prog.region().map(|r| r.rounds),
+                rounds,
+                "repeats={repeats} prefetch={prefetch}"
+            );
+            let stream: Vec<_> = prog.iter().copied().collect();
+            assert!(
+                stream == unrolled_reference(&mag, &m, 30),
+                "repeats={repeats} prefetch={prefetch}: stream differs"
+            );
+        }
     }
 
     #[test]

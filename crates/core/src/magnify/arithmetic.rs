@@ -17,6 +17,12 @@
 //! timer interrupt drains the pipeline and re-aligns the paths (§7.5,
 //! Figure 12) — configure [`racer_cpu::CpuConfig::interrupt_interval`] to
 //! model that bound.
+//!
+//! **Period: one stage.** The racing+buffer stage pair is one repeated
+//! region. Aligned lanes settle at 144 cycles per stage and delayed ones
+//! at 189; the core fast-forwards between timer interrupts (a jump never
+//! crosses an interrupt boundary, and after each drain the lane settles
+//! again).
 
 use crate::layout::Layout;
 use crate::machine::Machine;
@@ -95,7 +101,7 @@ impl ArithmeticMagnifier {
         asm.add(a, seed_a, 0i64);
         asm.add(b, seed_b, 0i64);
 
-        for _stage in 0..self.stages {
+        asm.repeat(self.stages, |asm| {
             // PathA racing stage: MUL chain.
             for _ in 0..self.muls_per_stage {
                 asm.mul(a, a, 1i64);
@@ -116,7 +122,7 @@ impl ArithmeticMagnifier {
                 asm.add(a, a, 0i64);
                 asm.add(b, b, 0i64);
             }
-        }
+        });
     }
 
     /// Run with the given initial delay; returns total cycles. The sync

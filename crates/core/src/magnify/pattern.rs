@@ -12,6 +12,11 @@
 //! *discovers* a working cyclic pattern by greedy simulation over the
 //! tree-PLRU state machine with cycle detection — the same offline search
 //! an attacker would run against a modelled replacement policy.
+//!
+//! **Period: one round of the derived pattern.** The prelude is emitted
+//! once and the cyclic pattern as one repeated region; by construction
+//! the set returns to the same tree state after every traversal of the
+//! pattern, so counters-only runs fast-forward through the region.
 
 use crate::layout::Layout;
 use crate::machine::Machine;
@@ -253,12 +258,12 @@ impl GeneralPlruMagnifier {
             asm.and(mask, val, 0i64);
             asm.load(val, MemOperand::base_disp(mask, addr.0 as i64));
         }
-        for _ in 0..self.rounds {
+        asm.repeat(self.rounds, |asm| {
             for addr in &addrs {
                 asm.and(mask, val, 0i64);
                 asm.load(val, MemOperand::base_disp(mask, addr.0 as i64));
             }
-        }
+        });
         asm.halt();
         asm.assemble().expect("general PLRU magnifier assembles")
     }

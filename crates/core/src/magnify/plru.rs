@@ -13,6 +13,14 @@
 //!
 //! The cycle difference grows linearly and indefinitely with the round
 //! count, defeating any finite timer coarsening.
+//!
+//! **Period: one round.** [`PlruMagnifier::program`] emits the pattern as
+//! one repeated region (`Asm::repeat`), stored once however many rounds
+//! run. From the third or fourth round on, the set, its tree bits and the
+//! pipeline repeat exactly: every round for transmit 0 (30 cycles a
+//! round on the timer-mitigation machines), every two rounds for
+//! transmit 1 (108 cycles, 54 a round). A counters-only run therefore
+//! fast-forwards all but a few dozen rounds, with exact results.
 
 use crate::layout::Layout;
 use crate::machine::Machine;
@@ -113,12 +121,12 @@ impl PlruMagnifier {
         // the and→load→and chain keeps the accesses strictly ordered.
         let val = asm.reg();
         let mask = asm.reg();
-        for _ in 0..self.rounds {
+        asm.repeat(self.rounds, |asm| {
             for addr in pattern {
                 asm.and(mask, val, 0i64);
                 asm.load(val, MemOperand::base_disp(mask, addr.0 as i64));
             }
-        }
+        });
         asm.halt();
         asm.assemble().expect("PLRU magnifier assembles")
     }

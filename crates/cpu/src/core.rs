@@ -89,6 +89,15 @@
 //!   fills and MSHR traffic are cross-thread wake sources the per-thread
 //!   event model cannot see, and per-cycle attempts are exactly what the
 //!   reference scheduler does anyway.
+//! * **Steady-state fast-forward** (`core/steady.rs`). A program's
+//!   repeated region (`racer_isa::Region`) is stored once, so every slot
+//!   carries its µop index next to its logical pc.
+//!   On a single-thread, counters-only run whose body has no store, the
+//!   loop watches the region's round boundaries; once the machine state at one
+//!   boundary equals an earlier one (relative to cycle, sequence number
+//!   and round), the loop skips whole periods and simulates the rest —
+//!   bit-identical results, counted in `RunResult::fast_forwarded`. The
+//!   reference scheduler never fast-forwards.
 //! * **No steady-state allocation.** All scheduling structures live in
 //!   the per-thread [`ThreadCtx`] structs, owned by [`Cpu`] and reused
 //!   across [`Cpu::run`] calls, and a run decodes nothing (the µop table
@@ -109,6 +118,8 @@ use racer_isa::{
 use racer_mem::{AccessKind, Addr, Hierarchy, HitLevel};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+
+mod steady;
 
 /// Dynamic-instruction sequence number (per hardware thread).
 type Seq = u64;
@@ -153,7 +164,11 @@ const NUM_CLASSES: usize = FuClass::COUNT;
 #[derive(Clone, Debug)]
 struct Slot {
     seq: Seq,
+    /// Logical pc (predictor index, branch fall-through, load events).
     pc: usize,
+    /// Stored µop index of `pc` ([`DecodedProgram::uop_index`]), the
+    /// index every stage reads the µop table by.
+    uop: u32,
     state: EntryState,
     /// Number of sources (`srcs[..nsrcs]` are live).
     nsrcs: u8,
@@ -193,6 +208,7 @@ impl Slot {
         Slot {
             seq: 0,
             pc: 0,
+            uop: 0,
             state: EntryState::Done,
             nsrcs: 0,
             pending: 0,
@@ -306,11 +322,17 @@ pub(crate) struct ThreadCtx {
     /// The context aborted at the configured cycle limit.
     limit_hit: bool,
 
+    /// Loads parked in the stall pool so far (the steady-state detector
+    /// reads it to know whether the periodic pool drain mattered).
+    stall_parks: u64,
+
     // Results under construction.
     committed: u64,
     mispredicts: u64,
     squashed: u64,
     interrupts: u64,
+    /// Body rounds advanced by steady-state extrapolation.
+    fast_forwarded: u64,
     halted: bool,
     loads: Vec<LoadEvent>,
     trace: Vec<crate::trace::TraceRecord>,
@@ -361,10 +383,12 @@ impl ThreadCtx {
         self.done = false;
         self.end_cycle = 0;
         self.limit_hit = false;
+        self.stall_parks = 0;
         self.committed = 0;
         self.mispredicts = 0;
         self.squashed = 0;
         self.interrupts = 0;
+        self.fast_forwarded = 0;
         self.halted = false;
         self.loads = Vec::new();
         self.trace = Vec::new();
@@ -425,29 +449,13 @@ impl ThreadCtx {
             mispredicts: self.mispredicts,
             squashed_instrs: self.squashed,
             interrupts: self.interrupts,
+            fast_forwarded: self.fast_forwarded,
             regs: self.arch_regs.clone(),
             mem_stats,
             loads: std::mem::take(&mut self.loads),
             trace: std::mem::take(&mut self.trace),
         }
     }
-}
-
-/// The hierarchy-stats delta since `before` — the `mem_stats` a run
-/// reports. One function used by the SMT driver and the fork path, so
-/// attribution can never drift between them.
-fn mem_stats_since(
-    hier: &Hierarchy,
-    before: &racer_mem::HierarchyStats,
-) -> racer_mem::HierarchyStats {
-    let mut s = hier.stats();
-    s.l1d = s.l1d.since(&before.l1d);
-    s.l2 = s.l2.since(&before.l2);
-    s.l3 = s.l3.since(&before.l3);
-    s.memory_accesses -= before.memory_accesses;
-    s.flushes -= before.flushes;
-    s.prefetches -= before.prefetches;
-    s
 }
 
 /// Run `prog` to completion on a single-thread machine assembled from
@@ -471,13 +479,13 @@ pub(crate) fn run_fork(
         mem: &mut mem,
         predictor: predictor.as_mut(),
         prog,
-        dec: prog.decoded().instrs(),
+        dec: prog.decoded().uops(),
         s,
         sh: &mut Shared::new(cfg.div_ports, 1),
         cycle: 0,
     }
     .run_single();
-    s.take_result(mem_stats_since(&hier, &stats_before))
+    s.take_result(hier.stats().since(&stats_before))
 }
 
 /// Structural resources shared by every hardware thread: the divider
@@ -747,7 +755,7 @@ impl SmtRun<'_> {
             mem: self.mem,
             predictor: self.predictors[tid].as_mut(),
             prog: self.progs[tid],
-            dec: self.progs[tid].decoded().instrs(),
+            dec: self.progs[tid].decoded().uops(),
             s: &mut self.ctxs[tid],
             sh: &mut self.shared,
             cycle: self.cycle,
@@ -777,7 +785,7 @@ impl SmtRun<'_> {
         } else {
             self.run_multi(n);
         }
-        let mem_stats = mem_stats_since(self.hier, &stats_before);
+        let mem_stats = self.hier.stats().since(&stats_before);
         self.ctxs
             .iter_mut()
             .map(|c| c.take_result(mem_stats))
@@ -866,7 +874,8 @@ struct Pipeline<'a> {
     mem: &'a mut DataMemory,
     predictor: &'a mut dyn Predictor,
     prog: &'a Program,
-    /// `prog`'s µop table ([`Program::decoded`]), indexed by pc.
+    /// `prog`'s stored µops ([`Program::decoded`]), indexed by µop index
+    /// (`Slot::uop`; fetch and dispatch map pcs with `uop_index`).
     dec: &'a [DecodedInstr],
     s: &'a mut ThreadCtx,
     sh: &'a mut Shared,
@@ -878,8 +887,10 @@ impl<'a> Pipeline<'a> {
     /// original pre-SMT cycle loop (stage order, halt/finish breaks,
     /// interrupt drain, cycle limit), so the classic path pays no
     /// per-cycle driver cost. Leaves the context's `done`/`end_cycle`/
-    /// `limit_hit` set for the shared result assembly.
+    /// `limit_hit` set for the shared result assembly. A run that can
+    /// fast-forward ends every cycle with the steady-state detector.
     fn run_single(&mut self) {
+        let mut steady = steady::Steady::new(self);
         loop {
             self.writeback();
             self.commit();
@@ -909,6 +920,9 @@ impl<'a> Pipeline<'a> {
             if self.cycle >= self.cfg.max_run_cycles {
                 self.finish(true);
                 return;
+            }
+            if let Some(st) = steady.as_mut() {
+                st.end_of_cycle(self);
             }
         }
     }
@@ -1028,7 +1042,7 @@ impl<'a> Pipeline<'a> {
             }
             // Tag broadcast: wake exactly the registered dependents.
             let is_branch = matches!(
-                self.dec[self.s.slots[slot as usize].pc].op,
+                self.dec[self.s.slots[slot as usize].uop as usize].op,
                 DecodedOp::Branch { .. }
             );
             if is_branch && self.cfg.countermeasure == Countermeasure::DelayOnMiss {
@@ -1059,7 +1073,7 @@ impl<'a> Pipeline<'a> {
                     && c.state == EntryState::Waiting
                     && self.cfg.countermeasure != Countermeasure::InOrder;
                 if now_ready {
-                    let cls = self.dec[c.pc].cls as usize;
+                    let cls = self.dec[c.uop as usize].cls as usize;
                     self.ready_push(cls, cseq, cslot);
                 }
             }
@@ -1103,7 +1117,7 @@ impl<'a> Pipeline<'a> {
             if self.s.slots[t].seq <= seq {
                 break;
             }
-            let d = &self.dec[self.s.slots[t].pc];
+            let d = &self.dec[self.s.slots[t].uop as usize];
             let v = &mut self.s.slots[t];
             if let Some(dst) = d.dst {
                 self.s.rat[dst.index()] = v.prev_rat;
@@ -1145,8 +1159,11 @@ impl<'a> Pipeline<'a> {
             self.s.inorder_skip = self.s.len;
         }
         // Redirect fetch down the correct path.
-        let pc = self.s.slots[slot as usize].pc;
-        let target = match self.dec[pc].op {
+        let (pc, uop) = (
+            self.s.slots[slot as usize].pc,
+            self.s.slots[slot as usize].uop,
+        );
+        let target = match self.dec[uop as usize].op {
             DecodedOp::Branch { target, .. } => {
                 if taken {
                     target as usize
@@ -1185,7 +1202,7 @@ impl<'a> Pipeline<'a> {
             self.s.committed += 1;
             let e = &self.s.slots[h];
             let (seq, result, mem_addr) = (e.seq, e.result, e.mem_addr);
-            let d = &self.dec[e.pc];
+            let d = &self.dec[e.uop as usize];
             if let Some(t) = e.trace_idx {
                 self.s.trace[t as usize].committed = Some(self.cycle);
             }
@@ -1312,6 +1329,7 @@ impl<'a> Pipeline<'a> {
                 // condition fires.
                 debug_assert_eq!(cls, CLS_LOAD);
                 self.s.stalled_loads.push((seq, slot));
+                self.s.stall_parks += 1;
             }
         }
     }
@@ -1384,7 +1402,7 @@ impl<'a> Pipeline<'a> {
             if self.s.slots[slot].pending > 0 {
                 break; // oldest unissued not ready ⇒ stall everything
             }
-            let cls = self.dec[self.s.slots[slot].pc].cls as usize;
+            let cls = self.dec[self.s.slots[slot].uop as usize].cls as usize;
             if !self.port_available(cls, used) || !self.try_issue(slot, cls, used) {
                 break;
             }
@@ -1410,7 +1428,7 @@ impl<'a> Pipeline<'a> {
     fn try_issue(&mut self, slot: usize, cls: usize, used: &mut [usize; NUM_CLASSES]) -> bool {
         let lat = self.cfg.latencies;
         let now = self.cycle;
-        match self.dec[self.s.slots[slot].pc].op {
+        match self.dec[self.s.slots[slot].uop as usize].op {
             DecodedOp::Alu { op, a, b } => {
                 let av = Self::src_value(&self.s.slots[slot], a);
                 let bv = Self::src_value(&self.s.slots[slot], b);
@@ -1676,7 +1694,8 @@ impl<'a> Pipeline<'a> {
             }
             let fetched = self.s.fetch_q.pop_front().expect("front exists");
             let pc = fetched.pc as usize;
-            let d = &self.dec[pc];
+            let uop = self.prog.decoded().uop_index(pc);
+            let d = &self.dec[uop];
             let seq = self.s.next_seq;
             self.s.next_seq += 1;
             let slot = self.s.alloc_slot();
@@ -1710,7 +1729,7 @@ impl<'a> Pipeline<'a> {
                 srcs[i] = src;
             }
 
-            let d = &self.dec[pc];
+            let d = &self.dec[uop];
             let prev_rat = match d.dst {
                 Some(dst) => {
                     let prev = self.s.rat[dst.index()];
@@ -1741,6 +1760,7 @@ impl<'a> Pipeline<'a> {
             let e = &mut self.s.slots[slot];
             e.seq = seq;
             e.pc = pc;
+            e.uop = uop as u32;
             e.state = EntryState::Waiting;
             e.nsrcs = nsrcs as u8;
             e.pending = pending;
@@ -1781,7 +1801,7 @@ impl<'a> Pipeline<'a> {
             let pc = self.s.fetch_pc;
             let mut predicted_taken = false;
             let mut next = pc + 1;
-            match self.dec[pc].op {
+            match self.dec[self.prog.decoded().uop_index(pc)].op {
                 DecodedOp::Branch { target, .. } => {
                     predicted_taken = self.predictor.predict(pc);
                     if predicted_taken {

@@ -277,13 +277,7 @@ impl<'a> RefPipeline<'a> {
                 break;
             }
         }
-        let mut mem_stats = self.hier.stats();
-        mem_stats.l1d = mem_stats.l1d.since(&stats_before.l1d);
-        mem_stats.l2 = mem_stats.l2.since(&stats_before.l2);
-        mem_stats.l3 = mem_stats.l3.since(&stats_before.l3);
-        mem_stats.memory_accesses -= stats_before.memory_accesses;
-        mem_stats.flushes -= stats_before.flushes;
-        mem_stats.prefetches -= stats_before.prefetches;
+        let mem_stats = self.hier.stats().since(&stats_before);
         self.threads
             .iter_mut()
             .map(|t| RunResult {
@@ -294,6 +288,7 @@ impl<'a> RefPipeline<'a> {
                 mispredicts: t.mispredicts,
                 squashed_instrs: t.squashed,
                 interrupts: t.interrupts,
+                fast_forwarded: 0,
                 regs: std::mem::take(&mut t.arch_regs),
                 mem_stats,
                 loads: std::mem::take(&mut t.loads),

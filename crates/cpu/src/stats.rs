@@ -45,6 +45,12 @@ pub struct RunResult {
     pub squashed_instrs: u64,
     /// Pipeline drains triggered by the timer-interrupt model.
     pub interrupts: u64,
+    /// Rounds of the program's repeated region (see
+    /// [`racer_isa::Region`]) the event-driven core advanced by steady-state
+    /// extrapolation instead of simulating them. Observability only: every
+    /// other field is identical to a run that simulated every round, and
+    /// the reference scheduler never fast-forwards (it always reports 0).
+    pub fast_forwarded: u64,
     /// Final architectural register file.
     pub regs: Vec<u64>,
     /// Cache/memory counters accumulated during this run only.

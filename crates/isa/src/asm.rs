@@ -1,7 +1,7 @@
 //! The assembler/builder DSL used to generate gadget code.
 
 use crate::instr::{AluOp, Cond, Instr, MemOperand, Operand};
-use crate::program::{Label, Program, ProgramError};
+use crate::program::{Label, Program, ProgramError, Region};
 use crate::reg::{Reg, NUM_REGS};
 
 /// A builder for [`Program`]s, with labels and a fresh-register allocator.
@@ -30,8 +30,16 @@ pub struct Asm {
     next_reg: usize,
     /// `labels[id]` = Some(position) once bound.
     labels: Vec<Option<usize>>,
-    /// Branch/jump fixups: (instruction index, label id).
+    /// Branch/jump fixups: (stored instruction index, label id).
     fixups: Vec<(usize, usize)>,
+    /// The repeated region emitted by [`Asm::repeat`], if any (stored
+    /// indices; `start` is also the body's logical position).
+    region: Option<Region>,
+    /// Structural error found while emitting (a second or nested region),
+    /// reported by [`Asm::assemble`].
+    error: Option<ProgramError>,
+    /// Inside a [`Asm::repeat`] body.
+    in_repeat: bool,
 }
 
 impl Asm {
@@ -80,7 +88,7 @@ impl Asm {
     /// Panics if the label was already bound.
     pub fn bind(&mut self, label: Label) {
         assert!(self.labels[label.0].is_none(), "label bound twice");
-        self.labels[label.0] = Some(self.instrs.len());
+        self.labels[label.0] = Some(self.position());
     }
 
     /// Create a label bound to the current position (for backward branches).
@@ -90,9 +98,58 @@ impl Asm {
         l
     }
 
-    /// Index the next emitted instruction will occupy.
+    /// Logical index the next emitted instruction will occupy: after a
+    /// [`Asm::repeat`] region every round counts; inside its body, the
+    /// position in the first round.
     pub fn position(&self) -> usize {
-        self.instrs.len()
+        let n = self.instrs.len();
+        match self.region {
+            Some(r) if !self.in_repeat => {
+                (n - r.body_len).saturating_add(r.body_len.saturating_mul(r.rounds))
+            }
+            _ => n,
+        }
+    }
+
+    // ----- repeated regions -----------------------------------------------
+
+    /// Emit `body` once as a region that executes `rounds` times back to
+    /// back: the program stores and decodes one round however large
+    /// `rounds` is, and the out-of-order core can fast-forward through the
+    /// region's steady state. The body must be straight-line code (no
+    /// branch, jump or `halt`), and a program holds at most one region;
+    /// [`Asm::assemble`] reports either violation as a [`ProgramError`].
+    ///
+    /// ```
+    /// use racer_isa::Asm;
+    ///
+    /// let mut asm = Asm::new();
+    /// let r = asm.reg();
+    /// asm.mov_imm(r, 0);
+    /// asm.repeat(1_000, |a| {
+    ///     a.addi(r, r, 2);
+    /// });
+    /// asm.halt();
+    /// let prog = asm.assemble().expect("valid program");
+    /// assert_eq!(prog.len(), 1_002); // logical: every round counts
+    /// assert_eq!(prog.stored().len(), 3); // stored: the body once
+    /// ```
+    pub fn repeat(&mut self, rounds: usize, body: impl FnOnce(&mut Self)) -> &mut Self {
+        if self.region.is_some() || self.in_repeat {
+            self.error.get_or_insert(ProgramError::MultipleRegions);
+            body(self);
+            return self;
+        }
+        let start = self.instrs.len();
+        self.in_repeat = true;
+        body(self);
+        self.in_repeat = false;
+        self.region = Some(Region {
+            start,
+            body_len: self.instrs.len() - start,
+            rounds,
+        });
+        self
     }
 
     // ----- instruction emitters --------------------------------------------
@@ -260,9 +317,13 @@ impl Asm {
     /// # Errors
     ///
     /// Returns [`ProgramError::UnboundLabel`] if any referenced label was
-    /// never bound, or the underlying validation errors from
-    /// [`Program::from_instrs`].
+    /// never bound, [`ProgramError::MultipleRegions`] if [`Asm::repeat`]
+    /// was called twice or nested, or the underlying validation errors
+    /// from [`Program::with_region`] / [`Program::from_instrs`].
     pub fn assemble(self) -> Result<Program, ProgramError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
         let mut instrs = self.instrs;
         for &(at, label) in &self.fixups {
             let pos = self.labels[label].ok_or(ProgramError::UnboundLabel { label })?;
@@ -271,7 +332,10 @@ impl Asm {
                 other => unreachable!("fixup pointing at non-control instruction {other}"),
             }
         }
-        Program::from_instrs(instrs)
+        match self.region {
+            Some(region) => Program::with_region(instrs, region),
+            None => Program::from_instrs(instrs),
+        }
     }
 }
 
@@ -293,11 +357,11 @@ mod tests {
         asm.jump(back); // self-loop
         asm.halt();
         let p = asm.assemble().unwrap();
-        match p.instrs()[1] {
+        match p[1] {
             Instr::Branch { target, .. } => assert_eq!(target, 3),
             ref other => panic!("expected branch, got {other}"),
         }
-        match p.instrs()[3] {
+        match p[3] {
             Instr::Jump { target } => assert_eq!(target, 3),
             ref other => panic!("expected jump, got {other}"),
         }
@@ -360,8 +424,8 @@ mod tests {
             .halt();
         let p = asm.assemble().unwrap();
         assert_eq!(p.len(), 12);
-        assert!(matches!(p.instrs()[7], Instr::Prefetch { nta: true, .. }));
-        assert!(matches!(p.instrs()[9], Instr::Fence));
+        assert!(matches!(p[7], Instr::Prefetch { nta: true, .. }));
+        assert!(matches!(p[9], Instr::Fence));
     }
 
     #[test]

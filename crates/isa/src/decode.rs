@@ -26,7 +26,7 @@
 //! cycle-exactly.
 
 use crate::instr::{AluOp, Cond, FuClass, Instr, MemOperand, Operand};
-use crate::program::Program;
+use crate::program::{Program, Region};
 use crate::reg::Reg;
 
 impl FuClass {
@@ -244,10 +244,26 @@ impl DecodedInstr {
     }
 }
 
-/// A [`Program`] decoded into a dense µop table, indexed by pc.
+/// A [`Program`] decoded into a dense µop table: one entry per *stored*
+/// instruction (a repeated body is decoded once), looked up by logical pc
+/// through [`DecodedProgram::uop_index`] or indexing.
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
-    pub(crate) instrs: Vec<DecodedInstr>,
+    pub(crate) uops: Vec<DecodedInstr>,
+    /// Stored index of the repeated body's first µop (`usize::MAX` when
+    /// the program holds no region).
+    body_start: usize,
+    /// Stored index one past the body (`usize::MAX` without a region).
+    body_end: usize,
+    /// Logical pc one past the region (`usize::MAX` without a region).
+    region_end: usize,
+    /// Instructions per round (1 without a region).
+    body_len: u64,
+    /// `⌈2^64 / body_len⌉`: the multiplier that reduces a pc offset modulo
+    /// `body_len` without a division (see [`DecodedProgram::uop_index`]).
+    body_magic: u64,
+    /// Logical program length.
+    len: usize,
 }
 
 impl DecodedProgram {
@@ -255,37 +271,76 @@ impl DecodedProgram {
     /// never calls this: [`Program::decoded`] holds the table decoded when
     /// the program was built.
     pub fn decode(prog: &Program) -> Self {
-        Self::decode_instrs(prog.instrs())
+        Self::decode_instrs(prog.stored(), prog.region())
     }
 
-    /// Decode `instrs` into a table of exactly `instrs.len()` entries.
-    pub(crate) fn decode_instrs(instrs: &[Instr]) -> Self {
+    /// Decode the stored instructions `instrs` (holding `region`'s body
+    /// once) into a table of exactly `instrs.len()` entries.
+    pub(crate) fn decode_instrs(instrs: &[Instr], region: Option<Region>) -> Self {
+        let uops: Vec<DecodedInstr> = instrs.iter().map(DecodedInstr::decode).collect();
+        let (len, body_start, body_end, region_end, body_len) = match region {
+            Some(r) => (
+                uops.len() + r.body_len * (r.rounds - 1),
+                r.start,
+                r.start + r.body_len,
+                r.end(),
+                r.body_len as u64,
+            ),
+            None => (uops.len(), usize::MAX, usize::MAX, usize::MAX, 1),
+        };
         DecodedProgram {
-            instrs: instrs.iter().map(DecodedInstr::decode).collect(),
+            len,
+            uops,
+            body_start,
+            body_end,
+            region_end,
+            body_len,
+            body_magic: (u64::MAX / body_len).wrapping_add(1),
         }
     }
 
-    /// The decoded instructions, in program order.
-    pub fn instrs(&self) -> &[DecodedInstr] {
-        &self.instrs
+    /// The stored µops (a repeated body appears once), indexed by
+    /// [`DecodedProgram::uop_index`].
+    pub fn uops(&self) -> &[DecodedInstr] {
+        &self.uops
     }
 
-    /// Number of instructions.
+    /// Stored µop index of logical `pc`: one compare for programs
+    /// without a region, and no division inside one. The offset into the
+    /// region is reduced modulo the body length by multiplying with
+    /// `⌈2^64 / body_len⌉` and keeping the high bits of the fraction
+    /// (Lemire, Kaser & Kurz, "Faster Remainder by Direct Computation",
+    /// 2019), exact for every 32-bit offset and length — which a program's
+    /// logical length (at most `u32::MAX`) guarantees.
+    #[inline]
+    pub fn uop_index(&self, pc: usize) -> usize {
+        if pc < self.body_start {
+            pc
+        } else if pc < self.region_end {
+            let frac = self.body_magic.wrapping_mul((pc - self.body_start) as u64);
+            self.body_start + ((u128::from(frac) * u128::from(self.body_len)) >> 64) as usize
+        } else {
+            pc - self.region_end + self.body_end
+        }
+    }
+
+    /// Number of instructions (logical).
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.len
     }
 
     /// Whether the table is empty (never true for a validated program).
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.len == 0
     }
 }
 
 impl std::ops::Index<usize> for DecodedProgram {
     type Output = DecodedInstr;
+    /// The µop at logical `pc`.
     #[inline]
     fn index(&self, pc: usize) -> &DecodedInstr {
-        &self.instrs[pc]
+        &self.uops[self.uop_index(pc)]
     }
 }
 
@@ -450,6 +505,6 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
         assert!(matches!(d[2].op, DecodedOp::Halt));
-        assert_eq!(p.decoded().instrs(), d.instrs());
+        assert_eq!(p.decoded().uops(), d.uops());
     }
 }

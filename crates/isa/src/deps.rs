@@ -39,7 +39,7 @@ use crate::reg::NUM_REGS;
 pub fn raw_producers(prog: &Program) -> Vec<Vec<usize>> {
     let mut last_writer: Vec<Option<usize>> = vec![None; NUM_REGS];
     let mut out = Vec::with_capacity(prog.len());
-    for (i, instr) in prog.instrs().iter().enumerate() {
+    for (i, instr) in prog.iter().enumerate() {
         let mut prods: Vec<usize> = instr
             .srcs()
             .into_iter()
@@ -70,7 +70,7 @@ pub fn ranges_independent(
     let writes = |range: &std::ops::Range<usize>| -> Vec<bool> {
         let mut w = vec![false; NUM_REGS];
         for i in range.clone() {
-            if let Some(d) = prog.instrs()[i].dst() {
+            if let Some(d) = prog[i].dst() {
                 w[d.index()] = true;
             }
         }
@@ -79,7 +79,7 @@ pub fn ranges_independent(
     let reads = |range: &std::ops::Range<usize>| -> Vec<bool> {
         let mut r = vec![false; NUM_REGS];
         for i in range.clone() {
-            for s in prog.instrs()[i].srcs() {
+            for s in prog[i].srcs() {
                 r[s.index()] = true;
             }
         }
@@ -118,7 +118,7 @@ pub fn critical_path_length(
             .map(|&p| finish[p])
             .max()
             .unwrap_or(0);
-        finish[i] = ready + latency(&prog.instrs()[i]);
+        finish[i] = ready + latency(&prog[i]);
         max = max.max(finish[i]);
     }
     max

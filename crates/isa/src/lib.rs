@@ -9,7 +9,8 @@
 //!
 //! * [`Instr`] / [`AluOp`] / [`Cond`] — the instruction forms;
 //! * [`Program`] — a validated instruction sequence with resolved branch
-//!   targets and its µop table;
+//!   targets and its µop table, optionally holding one repeated
+//!   [`Region`] whose body is stored once ([`Asm::repeat`]);
 //! * [`decode`] — pre-decoded µop tables ([`DecodedProgram`]): the static
 //!   facts (FU class, source list, destination, slot-mapped operands) every
 //!   hot consumer used to re-derive per dynamic instruction, computed once
@@ -52,5 +53,5 @@ pub use asm::Asm;
 pub use decode::{DecodedInstr, DecodedMem, DecodedOp, DecodedProgram, SrcRef};
 pub use instr::{AluOp, Cond, FuClass, Instr, MemOperand, Operand};
 pub use mem::DataMemory;
-pub use program::{Label, Program, ProgramError};
+pub use program::{Label, Program, ProgramError, Region};
 pub use reg::{Reg, NUM_REGS};

@@ -108,7 +108,7 @@ proptest! {
         }
         asm.halt();
         let prog = asm.assemble().unwrap();
-        match prog.instrs()[0] {
+        match prog[0] {
             Instr::Branch { target, .. } => prop_assert_eq!(target, 1 + pre),
             ref other => prop_assert!(false, "expected branch, got {}", other),
         }

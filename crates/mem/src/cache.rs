@@ -98,7 +98,7 @@ impl CacheConfig {
 /// One copy-on-write block of consecutive sets: their tags, valid masks and
 /// packed replacement state. Sized so materialising a block on first write
 /// copies kilobytes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Chunk {
     /// Line addresses, `chunk_sets * ways` entries, way-major within each
     /// set. Entries are only meaningful where the set's valid bit is set.
@@ -374,6 +374,25 @@ impl Cache {
             .zip(&other.chunks)
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
+    }
+
+    /// Whether this cache holds exactly `other`'s state — tags, valid bits
+    /// and replacement state (random replacement's generators included),
+    /// counters aside. Chunks still physically shared are equal without a
+    /// look, so comparing a recent clone touches only the chunks written
+    /// since it was taken.
+    pub(crate) fn same_state(&self, other: &Cache) -> bool {
+        self.cfg == other.cfg
+            && self
+                .chunks
+                .iter()
+                .zip(&other.chunks)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+    }
+
+    /// Add `times` copies of `delta` to the counters.
+    pub(crate) fn add_stats(&mut self, delta: &CacheStats, times: u64) {
+        self.stats.add_times(delta, times);
     }
 
     /// Materialise a private copy of every still-shared chunk, making this

@@ -387,6 +387,32 @@ impl Hierarchy {
         self.l3.unshare();
     }
 
+    /// Whether this hierarchy holds exactly `other`'s state: every level's
+    /// tags, valid bits and replacement state, and the DRAM jitter
+    /// generator — everything future accesses depend on; counters aside.
+    /// Copy-on-write chunks still shared with `other` compare equal
+    /// without a look, so comparing against a recent clone reads only the
+    /// chunks written since.
+    pub fn same_state(&self, other: &Hierarchy) -> bool {
+        self.cfg == other.cfg
+            && self.rng == other.rng
+            && self.l1d.same_state(&other.l1d)
+            && self.l2.same_state(&other.l2)
+            && self.l3.same_state(&other.l3)
+    }
+
+    /// Add `times` copies of `delta` to every counter: the counters a run
+    /// fast-forwarded through `times` repetitions of a period would have
+    /// accumulated, had the period (which counted `delta`) been simulated.
+    pub fn advance_stats(&mut self, delta: &HierarchyStats, times: u64) {
+        self.l1d.add_stats(&delta.l1d, times);
+        self.l2.add_stats(&delta.l2, times);
+        self.l3.add_stats(&delta.l3, times);
+        self.memory_accesses += delta.memory_accesses * times;
+        self.flushes += delta.flushes * times;
+        self.prefetches += delta.prefetches * times;
+    }
+
     /// Aggregated counters.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {

@@ -15,7 +15,7 @@ use super::ReplacementKind;
 use racer_rng::SplitMix64;
 
 /// Replacement state for all sets of one cache level, struct-of-arrays.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) enum PackedPolicy {
     /// One direction-bit word per set, heap-indexed from bit 1 like
     /// [`TreePlru`](super::TreePlru)'s `bits` vector (bit 0 unused).

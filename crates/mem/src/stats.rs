@@ -51,6 +51,16 @@ impl CacheStats {
             invalidations: self.invalidations - earlier.invalidations,
         }
     }
+
+    /// Add `times` copies of `delta` to every counter (a run fast-forwarded
+    /// through `times` repetitions of a period that counted `delta`).
+    pub(crate) fn add_times(&mut self, delta: &CacheStats, times: u64) {
+        self.hits += delta.hits * times;
+        self.misses += delta.misses * times;
+        self.fills += delta.fills * times;
+        self.evictions += delta.evictions * times;
+        self.invalidations += delta.invalidations * times;
+    }
 }
 
 impl fmt::Display for CacheStats {
@@ -83,6 +93,25 @@ pub struct HierarchyStats {
     pub flushes: u64,
     /// Prefetch operations serviced.
     pub prefetches: u64,
+}
+
+impl HierarchyStats {
+    /// Counter-wise difference since an earlier snapshot (the counters a
+    /// run attributes to itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if `earlier` has larger counters than `self`.
+    pub fn since(&self, earlier: &HierarchyStats) -> HierarchyStats {
+        HierarchyStats {
+            l1d: self.l1d.since(&earlier.l1d),
+            l2: self.l2.since(&earlier.l2),
+            l3: self.l3.since(&earlier.l3),
+            memory_accesses: self.memory_accesses - earlier.memory_accesses,
+            flushes: self.flushes - earlier.flushes,
+            prefetches: self.prefetches - earlier.prefetches,
+        }
+    }
 }
 
 impl fmt::Display for HierarchyStats {

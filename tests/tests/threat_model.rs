@@ -14,7 +14,7 @@ use racer_mem::Addr;
 
 /// Assert a program stays inside the sandboxed-JavaScript instruction set.
 fn assert_sandbox_legal(name: &str, prog: &Program) {
-    for (i, instr) in prog.instrs().iter().enumerate() {
+    for (i, instr) in prog.iter().enumerate() {
         match instr {
             Instr::Flush { .. } => panic!("{name}: instruction {i} is a flush (not in §3)"),
             Instr::Fence => panic!("{name}: instruction {i} is a fence (not in §3)"),
@@ -80,7 +80,6 @@ fn gadget_programs_contain_no_fine_grained_timer_reads() {
     let atk = SpectreBack::new(m.layout());
     let prog = atk.program(&m);
     assert!(prog
-        .instrs()
         .iter()
         .all(|i| !matches!(i, Instr::Flush { .. } | Instr::Fence)));
 }
