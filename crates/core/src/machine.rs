@@ -3,7 +3,9 @@
 
 use crate::layout::Layout;
 use racer_cpu::engine::fork_and_run;
-use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RunResult, Snapshot, SnapshotCache};
+use racer_cpu::{
+    Backend, Countermeasure, Cpu, CpuConfig, RecordLevel, RunResult, Snapshot, SnapshotCache,
+};
 use racer_isa::Program;
 use racer_mem::{Addr, CacheConfig, HierarchyConfig, ReplacementKind};
 use racer_time::Timer;
@@ -33,6 +35,8 @@ pub struct Machine {
     /// Instructions committed by every clock-advancing run on this
     /// machine — the work metric of the `scenario-e2e` perf rows.
     committed: u64,
+    /// Body rounds those runs skipped by steady-state fast-forward.
+    fast_forwarded: u64,
 }
 
 impl Machine {
@@ -43,6 +47,7 @@ impl Machine {
             layout: Layout::default(),
             elapsed_ns: 0.0,
             committed: 0,
+            fast_forwarded: 0,
         }
     }
 
@@ -164,6 +169,7 @@ impl Machine {
         let r = self.cpu.run_one(prog, backend);
         self.elapsed_ns += self.cpu.config().cycles_to_ns(r.cycles);
         self.committed += r.committed;
+        self.fast_forwarded += r.fast_forwarded;
         r
     }
 
@@ -184,6 +190,7 @@ impl Machine {
             layout: Layout::default(),
             elapsed_ns: 0.0,
             committed: 0,
+            fast_forwarded: 0,
         }
     }
 
@@ -227,19 +234,36 @@ impl Machine {
     }
 
     /// Run a program and return just its cycle count.
+    ///
+    /// Like [`Machine::run_timed`], the run records counters only.
     pub fn run_cycles(&mut self, prog: &Program) -> u64 {
-        self.run(prog).cycles
+        self.run_counters(prog).cycles
     }
 
     /// Run a program and measure it with the attacker's `timer` — the only
     /// measurement the threat model (§3) allows. Returns the *observed*
     /// duration in nanoseconds.
+    ///
+    /// Nothing but the duration leaves this method, so the run records
+    /// counters only ([`RecordLevel::Counters`], whatever the machine's
+    /// configured level): no load events, and a magnifier's repeated
+    /// region fast-forwards through its steady state. Timing, the clock
+    /// and [`Machine::committed_total`] (which counts skipped rounds'
+    /// instructions too) are the same as at any level.
     pub fn run_timed(&mut self, prog: &Program, timer: &mut dyn Timer) -> f64 {
         let start = self.elapsed_ns;
-        let r = self.cpu.run_one(prog, Backend::EventDriven);
-        self.elapsed_ns += self.cpu.config().cycles_to_ns(r.cycles);
-        self.committed += r.committed;
+        self.run_counters(prog);
         timer.measure(start, self.elapsed_ns)
+    }
+
+    /// [`Machine::run`] at [`RecordLevel::Counters`], restoring the
+    /// configured level afterwards.
+    fn run_counters(&mut self, prog: &Program) -> RunResult {
+        let level = self.cpu.config().record;
+        self.cpu.set_record_level(RecordLevel::Counters);
+        let r = self.run(prog);
+        self.cpu.set_record_level(level);
+        r
     }
 
     /// Total simulated nanoseconds elapsed on this machine.
@@ -254,6 +278,14 @@ impl Machine {
     /// this as their backend-independent work metric.
     pub fn committed_total(&self) -> u64 {
         self.committed
+    }
+
+    /// Body rounds the same runs skipped by steady-state fast-forward
+    /// ([`RunResult::fast_forwarded`], summed) — the read-only twin of
+    /// [`Machine::committed_total`], which tells whether a driver's timed
+    /// magnifier runs took the fast path.
+    pub fn fast_forwarded_total(&self) -> u64 {
+        self.fast_forwarded
     }
 
     /// Host-level cache-line flush (used for experiment setup; the gadgets

@@ -5,10 +5,12 @@
 //! reports the rounds it skipped in `RunResult::fast_forwarded`. The
 //! guards pin *when* it engages — a silently disabled fast path would
 //! leave every result identical and only the run slower, so only these
-//! counts catch it. The `#[ignore]`d tests compare repeated and unrolled
+//! counts catch it (`Machine::fast_forwarded_total` sums them over a
+//! driver's runs). The `#[ignore]`d tests compare repeated and unrolled
 //! magnifier runs bit for bit at the paper's scale; run them in release
 //! with `cargo test --release -p hacky-racers --test fast_forward -- --ignored`.
 
+use hacky_racers::attacks::SpectreBack;
 use hacky_racers::gadget_search::{FitnessConfig, GadgetTemplate, SplitMix64};
 use hacky_racers::layout::Layout;
 use hacky_racers::machine::Machine;
@@ -18,6 +20,7 @@ use hacky_racers::magnify::{
 use racer_cpu::{CpuConfig, RecordLevel, RunResult};
 use racer_isa::Program;
 use racer_mem::{CacheConfig, HierarchyConfig, ReplacementKind};
+use racer_time::{CoarseTimer, PerfectTimer};
 
 /// A `timer_mitigations_eval` lane: a fresh noisy machine with the
 /// Figure 3.1 set state, the raced lines warmed in `bit` order.
@@ -103,6 +106,49 @@ fn load_recording_lanes_never_fast_forward() {
     let r = m.run(&prog);
     assert_eq!(r.fast_forwarded, 0, "recorded lanes run every round");
     assert!(!r.loads.is_empty());
+}
+
+/// A quick-preset `spectre_back_eval` leak (the scenario's secret, timer
+/// and seed): every bit is read out through a 1000-round magnifier with
+/// `Machine::run_timed`, which records counters only, so almost every
+/// round fast-forwards although the machine records load events.
+#[test]
+fn a_spectre_back_leak_skips_almost_every_magnifier_round() {
+    let secret = b"ASPLOS";
+    let mut m = Machine::noisy(0xD00D);
+    let atk = SpectreBack::new(m.layout());
+    atk.plant_secret(&mut m, secret);
+    atk.leak_bytes(&mut m, secret.len(), &mut CoarseTimer::new(5_000.0));
+    // Two calibration readouts, then one per leaked bit.
+    let rounds = ((2 + secret.len() * 8) * atk.magnifier_rounds) as u64;
+    let skipped = m.fast_forwarded_total();
+    assert!(
+        skipped * 10 >= rounds * 9,
+        "only {skipped} of {rounds} magnifier rounds fast-forwarded"
+    );
+    assert_eq!(
+        m.cpu().config().record,
+        RecordLevel::Loads,
+        "timed runs restore the machine's record level"
+    );
+}
+
+#[test]
+fn a_random_replacement_timed_run_never_fast_forwards() {
+    let mut m = Machine::random_l1(0x5EED);
+    let mut mag = ArbitraryReplacementMagnifier::new(m.layout());
+    mag.repeats = 6;
+    mag.prepare(&mut m);
+    m.flush(m.layout().sync);
+    let prog = mag.program(&m, 30);
+    assert!(prog.region().is_some());
+    m.run_timed(&prog, &mut PerfectTimer);
+    assert!(m.committed_total() as usize >= prog.len() / 2);
+    assert_eq!(
+        m.fast_forwarded_total(),
+        0,
+        "random replacement never settles"
+    );
 }
 
 #[test]

@@ -84,11 +84,12 @@
 //!   or branch resolution under delay-on-miss — instead of a heap
 //!   round-trip plus a full re-check every cycle. Every skipped cycle is
 //!   one where the attempt provably fails exactly as before, so issue
-//!   timing is unchanged (and differentially tested). With more than one
-//!   hardware thread the pool drains every cycle instead: another thread's
-//!   fills and MSHR traffic are cross-thread wake sources the per-thread
-//!   event model cannot see, and per-cycle attempts are exactly what the
-//!   reference scheduler does anyway.
+//!   timing is unchanged (and differentially tested). Under SMT the same
+//!   holds: every fill site also posts the line to each sibling thread,
+//!   which drains its pool at its next issue pass if a parked load waits
+//!   on that line. Freed MSHR capacity is the expiry wake above; a
+//!   sibling's fill or new outstanding miss is the only other cross-thread
+//!   event that can unblock a parked load.
 //! * **Steady-state fast-forward** (`core/steady.rs`). A program's
 //!   repeated region (`racer_isa::Region`) is stored once, so every slot
 //!   carries its µop index next to its logical pc.
@@ -109,7 +110,7 @@
 //!   arbitration allocates two small per-cycle vectors, but only when
 //!   `threads > 1`.)
 
-use crate::config::{Backend, Countermeasure, CpuConfig};
+use crate::config::{Backend, Countermeasure, CpuConfig, RecordLevel};
 use crate::predictor::{self, Predictor};
 use crate::stats::{LoadEvent, RunResult};
 use racer_isa::{
@@ -394,6 +395,15 @@ impl ThreadCtx {
         self.trace = Vec::new();
     }
 
+    /// Is a load parked in the stall pool on `line`?
+    fn parks_on_line(&self, line: u64) -> bool {
+        self.stalled_loads.iter().any(|&(_, slot)| {
+            self.slots[slot as usize]
+                .mem_addr
+                .is_some_and(|a| Addr(a).line().0 == line)
+        })
+    }
+
     #[inline]
     fn cap(&self) -> usize {
         self.slots.len()
@@ -480,6 +490,7 @@ pub(crate) fn run_fork(
         predictor: predictor.as_mut(),
         prog,
         dec: prog.decoded().uops(),
+        tid: 0,
         s,
         sh: &mut Shared::new(cfg.div_ports, 1),
         cycle: 0,
@@ -502,8 +513,11 @@ struct Shared {
     inflight: Vec<(u64, u64)>,
     /// Per-divider-unit next-free cycle (non-fully-pipelined units).
     div_busy_until: Vec<u64>,
-    /// Hardware thread count for this run (SMT wake-policy switch).
-    nthreads: usize,
+    /// Per thread of an SMT run (empty for a single thread): lines a
+    /// sibling filled, or opened an outstanding miss on, since the
+    /// thread's last issue pass — the cross-thread stall-pool wake
+    /// source. `None` once the thread has finished and nobody reads it.
+    sibling_fills: Vec<Option<Vec<u64>>>,
 }
 
 impl Shared {
@@ -511,7 +525,20 @@ impl Shared {
         Shared {
             inflight: Vec::new(),
             div_busy_until: vec![0; div_ports],
-            nthreads,
+            sibling_fills: if nthreads > 1 {
+                vec![Some(Vec::new()); nthreads]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// Post `line`'s fill from thread `from` to every other live thread.
+    fn post_fill(&mut self, from: usize, line: u64) {
+        for (tid, fills) in self.sibling_fills.iter_mut().enumerate() {
+            if let Some(fills) = fills.as_mut().filter(|_| tid != from) {
+                fills.push(line);
+            }
         }
     }
 
@@ -597,6 +624,13 @@ impl Cpu {
     /// warmed-up machine state).
     pub fn set_countermeasure(&mut self, c: Countermeasure) {
         self.cfg.countermeasure = c;
+    }
+
+    /// Replace the event-recording level (a caller that reads only the
+    /// counters of one run lowers it to [`RecordLevel::Counters`], which
+    /// also lets a repeated region fast-forward, and restores it after).
+    pub fn set_record_level(&mut self, level: RecordLevel) {
+        self.cfg.record = level;
     }
 
     /// Architectural data memory.
@@ -756,6 +790,7 @@ impl SmtRun<'_> {
             predictor: self.predictors[tid].as_mut(),
             prog: self.progs[tid],
             dec: self.progs[tid].decoded().uops(),
+            tid,
             s: &mut self.ctxs[tid],
             sh: &mut self.shared,
             cycle: self.cycle,
@@ -769,6 +804,7 @@ impl SmtRun<'_> {
         c.done = true;
         c.end_cycle = self.cycle;
         c.limit_hit = limit_hit;
+        self.shared.sibling_fills[tid] = None;
     }
 
     fn run(mut self) -> Vec<RunResult> {
@@ -877,6 +913,8 @@ struct Pipeline<'a> {
     /// `prog`'s stored µops ([`Program::decoded`]), indexed by µop index
     /// (`Slot::uop`; fetch and dispatch map pcs with `uop_index`).
     dec: &'a [DecodedInstr],
+    /// This thread's index (its slot in `sh.sibling_fills`).
+    tid: usize,
     s: &'a mut ThreadCtx,
     sh: &'a mut Shared,
     cycle: u64,
@@ -1258,6 +1296,7 @@ impl<'a> Pipeline<'a> {
     /// threads: the driver passes the same counters to every context, in
     /// arbitration order.
     fn issue(&mut self, used: &mut [usize; NUM_CLASSES], issued: &mut usize) {
+        let sibling_fill = self.take_sibling_fills();
         if self.cfg.countermeasure == Countermeasure::InOrder {
             self.issue_in_order(used, issued);
             return;
@@ -1268,17 +1307,17 @@ impl<'a> Pipeline<'a> {
         let now = self.cycle;
         self.sh.inflight.retain(|&(_, done)| done > now);
         // Wake the stall pool when a blocking condition may have cleared:
-        // an outstanding miss expired (deterministic cycle) or an
-        // unblocking event fired since the last issue pass. With more than
-        // one hardware thread the pool drains every cycle — other threads'
-        // fills and MSHR traffic are wake sources the per-thread event
-        // model cannot see, and per-cycle attempts are exactly the
-        // reference scheduler's behavior. A periodic fallback drain bounds
-        // staleness as a liveness belt-and-braces — a drained attempt that
-        // still fails just goes straight back.
+        // an outstanding miss expired (deterministic cycle), an unblocking
+        // event of this thread fired since the last issue pass, or a
+        // sibling thread filled (or opened a miss on) a parked load's line
+        // since then. A sibling's fill posted before this pass is seen now
+        // and one posted after it next cycle — exactly when the reference
+        // scheduler's per-cycle attempts would first succeed. A periodic
+        // fallback drain bounds staleness as a liveness belt-and-braces —
+        // a drained attempt that still fails just goes straight back.
         if self.s.stall_wake_now
             || now >= self.s.stall_wake_cycle
-            || (self.sh.nthreads > 1 && !self.s.stalled_loads.is_empty())
+            || sibling_fill
             || (!self.s.stalled_loads.is_empty() && now.is_multiple_of(64))
         {
             self.s.stall_wake_now = false;
@@ -1366,17 +1405,25 @@ impl<'a> Pipeline<'a> {
 
     /// A line was just filled (or an aliased store left the store queue):
     /// wake stalled loads on that line — younger ones this cycle (from
-    /// `event_seq`), everyone at the next issue pass.
+    /// `event_seq`), everyone at the next issue pass — and post the line
+    /// to every sibling thread, whose parked loads it may unblock too.
     fn wake_stalled_on_line(&mut self, line: u64, event_seq: Seq) {
-        let hit = self.s.stalled_loads.iter().any(|&(_, slot)| {
-            self.s.slots[slot as usize]
-                .mem_addr
-                .is_some_and(|a| Addr(a).line().0 == line)
-        });
-        if hit {
+        self.sh.post_fill(self.tid, line);
+        if self.s.parks_on_line(line) {
             self.s.stall_wake_now = true;
             self.drain_stalled(Some(event_seq));
         }
+    }
+
+    /// Consume the lines siblings posted since this thread's last issue
+    /// pass; true if one of them is a parked load's line.
+    fn take_sibling_fills(&mut self) -> bool {
+        let Some(Some(fills)) = self.sh.sibling_fills.get_mut(self.tid) else {
+            return false;
+        };
+        let hit = fills.iter().any(|&line| self.s.parks_on_line(line));
+        fills.clear();
+        hit
     }
 
     /// Strict in-order issue (the `Countermeasure::InOrder` mode): the
@@ -1827,5 +1874,41 @@ impl<'a> Pipeline<'a> {
             }
             self.s.fetch_pc = next;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workloads::memory_stream;
+    use racer_mem::HierarchyConfig;
+
+    /// Thread 0's cycles and stall-pool parks for `prog` on a cold
+    /// coffee-lake machine with `threads` contexts, every sibling running
+    /// a lone `halt` (it issues once, while thread 0's first loads are
+    /// still in the front end, and touches no memory).
+    fn thread0_parks(prog: &Program, threads: usize) -> (u64, u64) {
+        let cfg = CpuConfig::coffee_lake().with_threads(threads);
+        let mut cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
+        let idle = Program::from_instrs(vec![racer_isa::Instr::Halt]).expect("valid program");
+        let mut progs = vec![prog];
+        progs.resize(threads, &idle);
+        let cycles = cpu.run(&progs, Backend::EventDriven)[0].cycles;
+        (cycles, cpu.ctxs[0].stall_parks)
+    }
+
+    /// An idle sibling posts no fills, so under SMT the stall pool wakes
+    /// on exactly the events it wakes on alone: the same timing and the
+    /// same number of parked loads. (A pool that drained every cycle
+    /// parked about twenty times as many.)
+    #[test]
+    fn an_idle_sibling_parks_no_more_loads_than_a_single_thread() {
+        let prog = memory_stream(80);
+        let (solo_cycles, solo_parks) = thread0_parks(&prog, 1);
+        assert!(
+            solo_parks > 1000,
+            "the stream must park loads: {solo_parks}"
+        );
+        assert_eq!(thread0_parks(&prog, 2), (solo_cycles, solo_parks));
     }
 }

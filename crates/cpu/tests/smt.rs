@@ -11,11 +11,51 @@ use racer_isa::{AluOp, Cond, Instr, MemOperand, Operand, Program, Reg};
 use racer_mem::HierarchyConfig;
 use racer_rng::SplitMix64;
 
+/// Where a random program's memory operations land: word-pool loads and
+/// stores at `pool + k * pool_stride` (`k < 16`), line loads, prefetches
+/// and flushes at `lines + k * 64` (`k < nlines`). Co-scheduled threads
+/// never share a data word, per the SMT model (contention is observed
+/// through ports and caches only) — but they may share lines.
+#[derive(Clone, Copy)]
+struct Footprint {
+    pool: u64,
+    pool_stride: u64,
+    lines: u64,
+    nlines: u64,
+}
+
+/// Lines both threads of a [`Footprint::shared`] pair touch.
+const SHARED_LINES: u64 = 24;
+const SHARED_BASE: u64 = 0x1_0000;
+
+impl Footprint {
+    /// A thread-private word pool and 64-line range at `mem_base`.
+    fn private(mem_base: u64) -> Self {
+        Footprint {
+            pool: mem_base,
+            pool_stride: 8,
+            lines: mem_base + 0x4000,
+            nlines: 64,
+        }
+    }
+
+    /// Thread `tid`'s half of a pair sharing [`SHARED_LINES`] lines but no
+    /// word: its pool words are word `2 * tid` of the first 16 lines, its
+    /// line accesses word `2 * tid + 1` of any of them. One thread's fills
+    /// and outstanding misses are then the lines the other's loads wait on.
+    fn shared(tid: u64) -> Self {
+        Footprint {
+            pool: SHARED_BASE + 16 * tid,
+            pool_stride: 64,
+            lines: SHARED_BASE + 16 * tid + 8,
+            nlines: SHARED_LINES,
+        }
+    }
+}
+
 /// A random terminating program with every instruction class the
-/// schedulers handle specially. `mem_base` gives each hardware thread its
-/// own word pool and line range — co-scheduled threads share no data, per
-/// the SMT model (contention is observed through ports and caches only).
-fn random_program(rng: &mut SplitMix64, len: usize, mem_base: u64) -> Program {
+/// schedulers handle specially, its memory operations inside `mem`.
+fn random_program(rng: &mut SplitMix64, len: usize, mem: Footprint) -> Program {
     let reg = |i: u64| Reg::new(i as usize);
     let mut instrs: Vec<Instr> = Vec::with_capacity(len + 10);
     for i in 0..8u64 {
@@ -32,8 +72,8 @@ fn random_program(rng: &mut SplitMix64, len: usize, mem_base: u64) -> Program {
         let d = reg(rng.below_mod(8));
         let a = reg(rng.below_mod(8));
         let b = reg(rng.below_mod(8));
-        let pool_addr = mem_base + rng.below_mod(16) * 8;
-        let line_addr = mem_base + 0x4000 + rng.below_mod(64) * 64;
+        let pool_addr = mem.pool + rng.below_mod(16) * mem.pool_stride;
+        let line_addr = mem.lines + rng.below_mod(mem.nlines) * 64;
         let fwd = (at as u64 + 1 + rng.below_mod((end - at) as u64)).min(end as u64) as usize;
         let instr = match rng.below_mod(20) {
             0..=4 => Instr::Alu {
@@ -139,8 +179,16 @@ fn assert_equivalent(tag: &str, fast: &RunResult, slow: &RunResult) {
 
 /// Run `count` random two-thread co-schedules through both schedulers on a
 /// persistent pair of machines (warm caches + trained predictors
-/// accumulate identically) and require per-thread identity.
+/// accumulate identically) and require per-thread identity. Each thread
+/// keeps to its own words and lines.
 fn run_smt_differential(cfg: CpuConfig, seed: u64, count: usize, len: usize) {
+    let mem = [Footprint::private(0x100), Footprint::private(0x2_0100)];
+    run_coschedules(cfg, seed, count, len, mem);
+}
+
+/// [`run_smt_differential`] with each thread's memory operations in
+/// `mem[tid]`.
+fn run_coschedules(cfg: CpuConfig, seed: u64, count: usize, len: usize, mem: [Footprint; 2]) {
     assert_eq!(cfg.threads, 2);
     let mut fast_cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
     let mut slow_cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
@@ -149,14 +197,14 @@ fn run_smt_differential(cfg: CpuConfig, seed: u64, count: usize, len: usize) {
         // Uneven lengths: one thread regularly outlives the other, so the
         // done-thread/survivor phase gets coverage too.
         let len_b = len / 2 + rng.below_mod(len as u64) as usize;
-        let prog_a = random_program(&mut rng, len, 0x100);
-        let prog_b = random_program(&mut rng, len_b, 0x2_0100);
+        let prog_a = random_program(&mut rng, len, mem[0]);
+        let prog_b = random_program(&mut rng, len_b, mem[1]);
         let fast = fast_cpu.run(&[&prog_a, &prog_b], Backend::EventDriven);
         let slow = slow_cpu.run(&[&prog_a, &prog_b], Backend::Reference);
         for tid in 0..2 {
             let tag = format!(
-                "policy={:?} cm={} co-schedule #{i} thread {tid}",
-                cfg.smt_policy, cfg.countermeasure
+                "policy={:?} cm={} mshrs={} co-schedule #{i} thread {tid}",
+                cfg.smt_policy, cfg.countermeasure, cfg.mshrs
             );
             assert_equivalent(&tag, &fast[tid], &slow[tid]);
         }
@@ -216,6 +264,49 @@ fn narrow_smt_machine_matches_reference() {
     run_smt_differential(cfg, 0x7777, 30, 60);
 }
 
+const EVERY_COUNTERMEASURE: [Countermeasure; 6] = [
+    Countermeasure::None,
+    Countermeasure::InOrder,
+    Countermeasure::DelayOnMiss,
+    Countermeasure::InvisibleSpec,
+    Countermeasure::GhostMinion,
+    Countermeasure::CleanupSpec,
+];
+
+/// Co-schedules whose threads share [`SHARED_LINES`] lines (never a word)
+/// on a one- or two-MSHR machine, under both policies and every
+/// countermeasure: loads park on MSHR capacity, delay-on-miss and store
+/// disambiguation, and a sibling's fill or MSHR merge is what wakes them.
+fn shared_line_sweep(seed: u64, count: usize, len: usize) {
+    let mem = [Footprint::shared(0), Footprint::shared(1)];
+    for policy in [SmtPolicy::RoundRobin, SmtPolicy::Icount] {
+        for (i, cm) in EVERY_COUNTERMEASURE.into_iter().enumerate() {
+            for mshrs in [1, 2] {
+                let mut cfg = smt_cfg(policy).with_countermeasure(cm);
+                cfg.mshrs = mshrs;
+                let seed = seed ^ ((i as u64) << 8 | mshrs as u64);
+                run_coschedules(cfg, seed, count, len, mem);
+            }
+        }
+    }
+}
+
+#[test]
+fn shared_line_coschedules_match_reference() {
+    shared_line_sweep(0x5A4E, 4, 60);
+}
+
+/// The heavier sweep of [`shared_line_coschedules_match_reference`]
+/// (release mode: `cargo test --release -p racer-cpu --test smt --
+/// --ignored`).
+#[test]
+#[ignore]
+fn shared_line_coschedules_match_reference_over_many_seeds() {
+    for seed in 0..16 {
+        shared_line_sweep(0xB16_5EED + seed, 12, 100);
+    }
+}
+
 #[test]
 fn multi_port_divider_matches_reference() {
     // div_ports = 2 exercises the per-unit busy model in both schedulers.
@@ -236,18 +327,11 @@ proptest! {
         len in 20usize..90,
         cm_idx in 0usize..6,
     ) {
-        let cm = [
-            Countermeasure::None,
-            Countermeasure::InOrder,
-            Countermeasure::DelayOnMiss,
-            Countermeasure::InvisibleSpec,
-            Countermeasure::GhostMinion,
-            Countermeasure::CleanupSpec,
-        ][cm_idx];
+        let cm = EVERY_COUNTERMEASURE[cm_idx];
         let cfg = CpuConfig::coffee_lake()
             .with_countermeasure(cm)
             .with_load_recording();
-        let prog = random_program(&mut SplitMix64::new(seed), len, 0x100);
+        let prog = random_program(&mut SplitMix64::new(seed), len, Footprint::private(0x100));
         let mut fast = Cpu::new(cfg, HierarchyConfig::coffee_lake());
         let mut slow = Cpu::new(cfg, HierarchyConfig::coffee_lake());
         let f = fast.run_one(&prog, Backend::EventDriven);
