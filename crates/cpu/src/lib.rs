@@ -47,8 +47,8 @@
 //! own fork ([`Snapshot::run_many`], [`engine::fork_and_run`]).
 //! [`RecordLevel`] controls how much event data a run records, and
 //! [`batch::par_map`] fans independent simulations out across host
-//! cores. `BENCH_pipeline.json` at the repo root records measured
-//! throughput for the schedulers and for forked sweeps.
+//! cores. The benchmark (`perfbench/`) times the schedulers; the exact
+//! work a run does is pinned by `crates/core/tests/work_counts.rs`.
 //!
 //! ## Quickstart
 //!

@@ -6,8 +6,7 @@
 //! implementation it must match **cycle-exactly**. The differential test
 //! suite (`crates/cpu/tests/differential.rs`, `crates/cpu/tests/smt.rs`)
 //! runs randomized programs — and randomized SMT co-schedules — through
-//! both and asserts identical [`RunResult`]s; the `perf_baseline` binary
-//! uses this model as the speedup denominator.
+//! both and asserts identical [`RunResult`]s.
 //!
 //! Like the event-driven core, the reference machine is multi-context:
 //! per-thread state lives in [`RefThread`], structural resources (issue

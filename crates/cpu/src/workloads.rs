@@ -1,11 +1,11 @@
-//! Canonical benchmark workloads and throughput measurement.
+//! Canonical benchmark workloads.
 //!
 //! Every layer above the core needs the same handful of "representative
-//! program shapes" — the perf baseline times them, the detection study
-//! profiles them, future scheduler work regresses against them. They used
-//! to live as copy-paste inside one binary; this module is the stable API
-//! version: named program builders plus a [`measure_throughput`] helper
-//! that times either scheduler on a warmed machine.
+//! program shapes" — the benchmark (`perfbench/`) times them, the
+//! work-count test (`crates/core/tests/work_counts.rs`) pins their exact
+//! simulated work, the detection study profiles them. This module is the
+//! stable API for them: named program builders and the
+//! [`standard_suite`] that names them.
 //!
 //! The shapes stress distinct scheduler paths:
 //!
@@ -23,16 +23,13 @@
 //! the racing-gadget timer program whose resolution the
 //! `smt_contention_eval` scenario measures under each contender.
 
-use crate::engine::fork_and_run;
-use crate::{Backend, Cpu, CpuConfig, RunResult};
+use crate::RunResult;
 use racer_isa::{AluOp, Asm, Cond, Instr, MemOperand, Operand, Program};
-use racer_mem::HierarchyConfig;
-use std::time::Instant;
 
 /// A named program plus the repetition count used when timing it.
 pub struct Workload {
-    /// Short machine-readable name (stable across PRs; keys the committed
-    /// perf baseline).
+    /// Short machine-readable name (stable: keys the benchmark's metrics
+    /// and the committed work counts).
     pub name: &'static str,
     /// One-line human description.
     pub description: &'static str,
@@ -322,144 +319,28 @@ pub fn standard_suite(iters: i64, reps: usize) -> Vec<Workload> {
     ]
 }
 
-/// One timed measurement: host throughput plus the (deterministic)
-/// architectural result of the final execution.
-pub struct Throughput {
-    /// Committed instructions per host second.
-    pub instrs_per_sec: f64,
-    /// The last execution's architectural result (identical across reps —
-    /// each rep runs the same program on the same warmed machine state).
-    pub result: RunResult,
-}
-
-/// Time `reps` fresh executions of `prog` on a Coffee-Lake-shaped machine
-/// with the chosen [`Backend`]. Caches and predictor are warmed by one
-/// untimed run first so every backend sees identical state. (The
-/// fork-amortised sweep shape lives in [`measure_sweep`].)
-///
-/// # Panics
-///
-/// Panics if the workload does not run to completion (hits the safety
-/// cycle limit) — benchmark programs must halt.
-pub fn measure_throughput(prog: &Program, reps: usize, backend: Backend) -> Throughput {
-    let mut cpu = Cpu::new(CpuConfig::coffee_lake(), HierarchyConfig::coffee_lake());
-    let _ = cpu.run_one(prog, backend);
-    let start = Instant::now();
-    let mut committed = 0u64;
-    let mut last = None;
-    for _ in 0..reps {
-        let r = cpu.run_one(prog, backend);
-        assert!(r.halted && !r.limit_hit, "workload must run to completion");
-        committed += r.committed;
-        last = Some(r);
-    }
-    let secs = start.elapsed().as_secs_f64();
-    Throughput {
-        instrs_per_sec: committed as f64 / secs,
-        result: last.expect("reps >= 1"),
-    }
-}
-
-/// How [`measure_sweep`] gives each point its warmed machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepArm {
-    /// Warm **one** machine, snapshot it, and run every point on its own
-    /// fork ([`fork_and_run`]) — warmup is paid once for the whole sweep.
-    Forked,
-    /// The classic per-machine sweep: each point builds a **fresh machine
-    /// and re-runs the warmup** before its timed execution.
-    PerMachine,
-}
-
-/// Time a K-point *sweep* of `prog` — the repo's dominant experiment
-/// shape: every point needs a machine warmed by `warmup` untimed
-/// executions, then runs the program once, timed. Every run is
-/// event-driven; `arm` selects how the warmed machines are obtained.
-///
-/// Every point's result is bit-identical across arms (a fork is exactly
-/// the warmed machine). `instrs_per_sec` counts only the timed
-/// (post-warmup) executions over the whole sweep's wall time, warmup
-/// included — which is precisely why forked sweeps are faster.
-///
-/// # Panics
-///
-/// Panics if the workload does not run to completion, or if `points`
-/// is zero.
-pub fn measure_sweep(prog: &Program, warmup: usize, points: usize, arm: SweepArm) -> Throughput {
-    assert!(points > 0, "a sweep needs at least one point");
-    let cfg = CpuConfig::coffee_lake();
-    let hier = HierarchyConfig::coffee_lake();
-    let check = |r: &RunResult| {
-        assert!(r.halted && !r.limit_hit, "workload must run to completion");
-    };
-    let warmed = || {
-        let mut cpu = Cpu::new(cfg, hier);
-        for _ in 0..warmup {
-            check(&cpu.run_one(prog, Backend::EventDriven));
-        }
-        cpu
-    };
-    let start = Instant::now();
-    let mut results = match arm {
-        SweepArm::Forked => {
-            let snap = warmed().snapshot();
-            fork_and_run(std::iter::repeat_n((&snap, prog), points))
-        }
-        SweepArm::PerMachine => (0..points)
-            .map(|_| warmed().run_one(prog, Backend::EventDriven))
-            .collect(),
-    };
-    let secs = start.elapsed().as_secs_f64();
-    results.iter().for_each(check);
-    let committed: u64 = results.iter().map(|r| r.committed).sum();
-    Throughput {
-        instrs_per_sec: committed as f64 / secs,
-        result: results.pop().expect("points >= 1"),
-    }
-}
-
-/// Time a [`Workload`], dispatching on its shape: plain workloads go
-/// through [`measure_throughput`]; workloads with a [`Workload::contender`]
-/// run as a two-thread SMT co-schedule on a round-robin-arbitrated
-/// Coffee-Lake-shaped machine. For SMT workloads `instrs_per_sec` counts
-/// both threads' committed instructions and `result` is thread 0's.
-///
-/// # Panics
-///
-/// Panics if any thread of the workload fails to run to completion.
-pub fn measure_workload(w: &Workload, backend: Backend) -> Throughput {
-    let Some(contender) = &w.contender else {
-        return measure_throughput(&w.prog, w.reps, backend);
-    };
-    let cfg = CpuConfig {
-        threads: 2,
-        ..CpuConfig::coffee_lake()
-    };
-    let mut cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
-    let progs = [&w.prog, contender];
-    let run = |cpu: &mut Cpu| cpu.run(&progs, backend);
-    let _ = run(&mut cpu);
-    let start = Instant::now();
-    let mut committed = 0u64;
-    let mut last = None;
-    for _ in 0..w.reps {
-        let mut results = run(&mut cpu);
-        for r in &results {
-            assert!(r.halted && !r.limit_hit, "workload must run to completion");
-            committed += r.committed;
-        }
-        last = Some(results.swap_remove(0));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    Throughput {
-        instrs_per_sec: committed as f64 / secs,
-        result: last.expect("reps >= 1"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Backend, Cpu, CpuConfig};
+    use racer_mem::HierarchyConfig;
+
+    /// Run a workload once on a fresh coffee-lake machine (two hardware
+    /// threads when it has a contender) and return thread 0's result.
+    fn run_workload(w: &Workload, backend: Backend) -> RunResult {
+        let mut progs = vec![&w.prog];
+        let mut cfg = CpuConfig::coffee_lake();
+        if let Some(contender) = &w.contender {
+            progs.push(contender);
+            cfg.threads = 2;
+        }
+        let mut cpu = Cpu::new(cfg, HierarchyConfig::coffee_lake());
+        let mut results = cpu.run(&progs, backend);
+        for r in &results {
+            assert!(r.halted && !r.limit_hit, "{} must halt", w.name);
+        }
+        results.swap_remove(0)
+    }
 
     #[test]
     fn standard_suite_names_are_stable() {
@@ -481,16 +362,11 @@ mod tests {
     #[test]
     fn every_workload_halts_on_both_schedulers_with_identical_state() {
         for w in standard_suite(60, 1) {
-            let fast = measure_workload(&w, Backend::EventDriven);
-            let reference = measure_workload(&w, Backend::Reference);
-            assert!(fast.instrs_per_sec > 0.0);
+            let fast = run_workload(&w, Backend::EventDriven);
+            let reference = run_workload(&w, Backend::Reference);
             assert_eq!(
-                (fast.result.cycles, fast.result.committed, &fast.result.regs),
-                (
-                    reference.result.cycles,
-                    reference.result.committed,
-                    &reference.result.regs
-                ),
+                (fast.cycles, fast.committed, &fast.regs),
+                (reference.cycles, reference.committed, &reference.regs),
                 "schedulers diverged on {}",
                 w.name
             );
@@ -557,13 +433,14 @@ mod tests {
 
     #[test]
     fn branchy_mask_controls_mispredict_rate() {
-        let easy = measure_throughput(&branchy(400, 7), 1, Backend::EventDriven);
-        let storm = measure_throughput(&branchy(400, 1), 1, Backend::EventDriven);
+        let mut cpu = Cpu::new(CpuConfig::coffee_lake(), HierarchyConfig::coffee_lake());
+        let easy = cpu.run_one(&branchy(400, 7), Backend::EventDriven);
+        let storm = cpu.run_one(&branchy(400, 1), Backend::EventDriven);
         assert!(
-            storm.result.mispredicts > easy.result.mispredicts * 2,
+            storm.mispredicts > easy.mispredicts * 2,
             "mask=1 should mispredict far more: {} vs {}",
-            storm.result.mispredicts,
-            easy.result.mispredicts
+            storm.mispredicts,
+            easy.mispredicts
         );
     }
 }

@@ -7,7 +7,6 @@
 //!                                      [--seed N] [--out DIR] [--quiet]
 //!                                      [--checkpoint DIR] [--timeout-secs N]
 //! racer-lab report <out-dir> [results...] [--keep-going]
-//! racer-lab perf-check [--baseline PATH] [--tolerance F] [--quick|--paper]
 //! ```
 //!
 //! Hand-rolled argument handling (the workspace builds offline, so no
@@ -20,15 +19,12 @@ use crate::params::Scale;
 use crate::registry::{registry, Scenario};
 use crate::runner::{failed_report, resolve_params, run_scenario, Report, RunOptions};
 use racer_results::Value;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// CLI outcome: what `main` should do after `run`.
 pub enum Outcome {
     /// Everything succeeded.
     Ok,
-    /// A gate failed (perf regression): exit 1.
-    GateFailed,
     /// Partial success (`report --keep-going` skipped inputs): exit 9.
     Partial,
 }
@@ -48,7 +44,6 @@ pub fn dispatch(args: &[String]) -> Result<Outcome, LabError> {
         }
         Some("run") => run(&args[1..]),
         Some("report") => report(&args[1..]),
-        Some("perf-check") => perf_check(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             println!("{}", usage());
             Ok(Outcome::Ok)
@@ -70,7 +65,6 @@ fn usage() -> &'static str {
      \x20                                      [--seed N] [--out DIR] [--quiet]\n\
      \x20                                      [--checkpoint DIR] [--timeout-secs N]\n\
      \x20 racer-lab report <out-dir> [results...] [--keep-going]\n\
-     \x20 racer-lab perf-check [--baseline PATH] [--tolerance F] [--quick|--paper]\n\
      \n\
      Results are written to results/<scenario>.json (override with --out);\n\
      all writes are atomic (tmp sibling + rename).\n\
@@ -108,7 +102,7 @@ fn list(args: &[String]) -> Result<(), String> {
                             .with("name", s.name)
                             .with("title", s.title)
                             .with("description", s.description)
-                            .with("deterministic", s.deterministic)
+                            .with("deterministic", true)
                             .with(
                                 "params",
                                 s.params
@@ -148,10 +142,7 @@ fn describe(args: &[String]) -> Result<(), String> {
     let sc = crate::registry::find(name).ok_or_else(|| unknown_scenario(name))?;
     println!("{} — {}", sc.name, sc.title);
     println!("{}", sc.description);
-    println!(
-        "deterministic: {}   base seed: {:#x}",
-        sc.deterministic, sc.seed
-    );
+    println!("deterministic: true   base seed: {:#x}", sc.seed);
     if sc.params.is_empty() {
         println!("parameters: none");
     } else {
@@ -170,15 +161,13 @@ fn describe(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parsed flags shared by `run` and `perf-check`.
+/// Parsed `run` flags.
 struct RunFlags {
     opts: RunOptions,
     all: bool,
     out_dir: PathBuf,
     quiet: bool,
     names: Vec<String>,
-    baseline: PathBuf,
-    tolerance: f64,
     checkpoint: Option<PathBuf>,
 }
 
@@ -189,8 +178,6 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
         out_dir: PathBuf::from("results"),
         quiet: false,
         names: Vec::new(),
-        baseline: PathBuf::from("BENCH_pipeline.json"),
-        tolerance: 0.30,
         checkpoint: None,
     };
     let mut it = args.iter();
@@ -234,13 +221,6 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
                     format!("--timeout-secs expects a positive integer, got {v:?}")
                 })?;
                 flags.opts.timeout_secs = Some(secs);
-            }
-            "--baseline" => flags.baseline = PathBuf::from(value_of("--baseline")?),
-            "--tolerance" => {
-                let v = value_of("--tolerance")?;
-                flags.tolerance = v
-                    .parse()
-                    .map_err(|_| format!("--tolerance expects a number, got {v:?}"))?;
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
             name => flags.names.push(name.to_string()),
@@ -531,360 +511,9 @@ fn report(args: &[String]) -> Result<Outcome, LabError> {
     Ok(Outcome::Ok)
 }
 
-/// The CI perf gate: run the throughput baseline and compare per-workload
-/// committed-instrs/sec against the committed `BENCH_pipeline.json`. Fails
-/// (exit 1) when any workload regresses by more than `--tolerance`
-/// (default 30%, tolerant of runner noise). A failing first measurement is
-/// re-measured once and the per-workload best of the two runs is judged —
-/// throughput noise is one-sided (preemption only slows a run down), so
-/// taking the max filters noise without masking real regressions.
-/// Workloads present in only one side are reported but do not fail the
-/// gate.
-fn perf_check(args: &[String]) -> Result<Outcome, LabError> {
-    let mut flags = parse_run_flags(args).map_err(LabError::usage)?;
-    if !flags.names.is_empty() {
-        return Err(LabError::usage("perf-check takes no scenario names"));
-    }
-    if flags.checkpoint.is_some() {
-        return Err(LabError::usage(
-            "perf-check re-measures every time; --checkpoint does not apply",
-        ));
-    }
-    // The gate defaults to quick scale: throughput is scale-independent
-    // enough for a 30% gate, and CI minutes are not free.
-    if args.iter().all(|a| a != "--paper") {
-        flags.opts.scale = Scale::Quick;
-    }
-
-    let sc = crate::registry::find("perf_baseline").expect("perf_baseline is registered");
-    let baseline = crate::fsio::parse_json(&flags.baseline)?;
-
-    let measure = || -> Result<Value, LabError> {
-        let report = run_scenario(&sc, &flags.opts)?;
-        Ok(report
-            .json
-            .get("results")
-            .expect("report has results")
-            .clone())
-    };
-    let compare = |measured: &Value| {
-        compare_throughput(&baseline, measured, flags.tolerance)
-            .map_err(|e| LabError::parse(flags.baseline.display().to_string(), e))
-    };
-    let mut measured = measure()?;
-    let mut verdicts = compare(&measured)?;
-    if verdicts.iter().any(|v| v.regressed) {
-        println!("# first measurement regressed; re-measuring once (best of 2 counts)");
-        measured = best_of(&measured, &measure()?);
-        verdicts = compare(&measured)?;
-    }
-    print!("{}", render_verdicts(&verdicts, flags.tolerance));
-    // Surface the comparison on the workflow-run summary page when CI
-    // provides one, so perf deltas are visible on every PR without
-    // downloading artifacts.
-    if let Some(path) = std::env::var_os("GITHUB_STEP_SUMMARY") {
-        use std::io::Write as _;
-        let md = render_verdicts_markdown(&verdicts, flags.tolerance);
-        match std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&path)
-        {
-            Ok(mut f) => {
-                if let Err(e) = f.write_all(md.as_bytes()) {
-                    eprintln!("# warning: could not append step summary: {e}");
-                }
-            }
-            Err(e) => eprintln!("# warning: could not open step summary: {e}"),
-        }
-    }
-    if verdicts.iter().any(|v| v.regressed) {
-        Ok(Outcome::GateFailed)
-    } else {
-        Ok(Outcome::Ok)
-    }
-}
-
-/// The perf-gate comparison as a GitHub-flavoured markdown table (one row
-/// per workload), appended to `$GITHUB_STEP_SUMMARY` in CI.
-pub fn render_verdicts_markdown(verdicts: &[PerfVerdict], tolerance: f64) -> String {
-    let mut s = String::from(
-        "## Perf gate: committed instrs/sec vs `BENCH_pipeline.json`\n\n\
-         | workload | baseline | measured | ratio | verdict |\n\
-         |---|---:|---:|---:|---|\n",
-    );
-    let fmt_ips = |x: Option<f64>| x.map_or("–".to_string(), |v| format!("{:.2}M", v / 1e6));
-    for v in verdicts {
-        let ratio = match (v.baseline_ips, v.measured_ips) {
-            (Some(b), Some(m)) if b > 0.0 => format!("{:.2}×", m / b),
-            _ => "–".to_string(),
-        };
-        let verdict = if v.regressed {
-            "❌ **REGRESSED**"
-        } else if v.baseline_ips.is_none() {
-            "🆕 new (no baseline)"
-        } else if v.measured_ips.is_none() {
-            "⚠️ missing from run"
-        } else {
-            "✅ ok"
-        };
-        let _ = writeln!(
-            s,
-            "| {} | {} | {} | {} | {} |",
-            v.workload,
-            fmt_ips(v.baseline_ips),
-            fmt_ips(v.measured_ips),
-            ratio,
-            verdict
-        );
-    }
-    let failed = verdicts.iter().filter(|v| v.regressed).count();
-    let _ = writeln!(
-        s,
-        "\n{} (tolerance: fail under {:.0}% of baseline)\n",
-        if failed == 0 {
-            "Gate **passed**.".to_string()
-        } else {
-            format!("Gate **FAILED**: {failed} workload(s) regressed.")
-        },
-        (1.0 - tolerance) * 100.0
-    );
-    s
-}
-
-/// Merge two perf payloads, keeping each workload's entry from the run
-/// with the higher `event_driven_instrs_per_sec` (workloads missing from
-/// `b` keep their `a` entry).
-fn best_of(a: &Value, b: &Value) -> Value {
-    let ips = |w: &Value| w.get("event_driven_instrs_per_sec").and_then(Value::as_f64);
-    let (Some(wa), Some(wb)) = (
-        a.get("workloads").and_then(Value::as_array),
-        b.get("workloads").and_then(Value::as_array),
-    ) else {
-        return a.clone();
-    };
-    let merged: Vec<Value> = wa
-        .iter()
-        .map(|entry| {
-            let name = entry.get("workload").and_then(Value::as_str);
-            let other = wb
-                .iter()
-                .find(|w| w.get("workload").and_then(Value::as_str) == name);
-            match other {
-                Some(o) if ips(o) > ips(entry) => o.clone(),
-                _ => entry.clone(),
-            }
-        })
-        .collect();
-    Value::object().with("workloads", Value::Array(merged))
-}
-
-/// One workload's gate outcome.
-#[derive(Clone)]
-pub struct PerfVerdict {
-    /// Workload name.
-    pub workload: String,
-    /// Baseline committed-instrs/sec (None when newly added).
-    pub baseline_ips: Option<f64>,
-    /// Measured committed-instrs/sec (None when dropped).
-    pub measured_ips: Option<f64>,
-    /// Whether this workload fails the gate.
-    pub regressed: bool,
-}
-
-/// Compare per-workload `event_driven_instrs_per_sec`; a workload
-/// regresses when measured < baseline × (1 − tolerance).
-pub fn compare_throughput(
-    baseline: &Value,
-    measured: &Value,
-    tolerance: f64,
-) -> Result<Vec<PerfVerdict>, String> {
-    let list = |doc: &Value, which: &str| -> Result<Vec<(String, f64)>, String> {
-        doc.get("workloads")
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("{which} document has no workloads array"))?
-            .iter()
-            .map(|w| {
-                let name = w
-                    .get("workload")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("{which} workload entry without a name"))?;
-                let ips = w
-                    .get("event_driven_instrs_per_sec")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{which} workload {name} without instrs/sec"))?;
-                Ok((name.to_string(), ips))
-            })
-            .collect()
-    };
-    let base = list(baseline, "baseline")?;
-    let meas = list(measured, "measured")?;
-
-    let mut verdicts = Vec::new();
-    for (name, b) in &base {
-        let m = meas.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        verdicts.push(PerfVerdict {
-            workload: name.clone(),
-            baseline_ips: Some(*b),
-            measured_ips: m,
-            regressed: m.is_some_and(|m| m < b * (1.0 - tolerance)),
-        });
-    }
-    for (name, m) in &meas {
-        if !base.iter().any(|(n, _)| n == name) {
-            verdicts.push(PerfVerdict {
-                workload: name.clone(),
-                baseline_ips: None,
-                measured_ips: Some(*m),
-                regressed: false,
-            });
-        }
-    }
-    Ok(verdicts)
-}
-
-fn render_verdicts(verdicts: &[PerfVerdict], tolerance: f64) -> String {
-    let mut s = format!(
-        "# perf gate: committed instrs/sec vs baseline (fail under {:.0}% of baseline)\n\
-         # workload            baseline     measured     ratio   verdict\n",
-        (1.0 - tolerance) * 100.0
-    );
-    for v in verdicts {
-        let fmt_ips = |x: Option<f64>| x.map_or("-".to_string(), |v| format!("{:.2}M", v / 1e6));
-        let ratio = match (v.baseline_ips, v.measured_ips) {
-            (Some(b), Some(m)) if b > 0.0 => format!("{:.2}", m / b),
-            _ => "-".to_string(),
-        };
-        let verdict = if v.regressed {
-            "REGRESSED"
-        } else if v.baseline_ips.is_none() {
-            "new (no baseline)"
-        } else if v.measured_ips.is_none() {
-            "missing from run"
-        } else {
-            "ok"
-        };
-        let _ = writeln!(
-            s,
-            "{:<21} {:>10} {:>12} {:>9}   {}",
-            v.workload,
-            fmt_ips(v.baseline_ips),
-            fmt_ips(v.measured_ips),
-            ratio,
-            verdict
-        );
-    }
-    let failed = verdicts.iter().filter(|v| v.regressed).count();
-    let _ = writeln!(
-        s,
-        "# {}",
-        if failed == 0 {
-            "gate passed".to_string()
-        } else {
-            format!("gate FAILED: {failed} workload(s) regressed")
-        }
-    );
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn wl(name: &str, ips: f64) -> Value {
-        Value::object()
-            .with("workload", name)
-            .with("event_driven_instrs_per_sec", ips)
-    }
-
-    fn doc(workloads: Vec<Value>) -> Value {
-        Value::object().with("workloads", Value::Array(workloads))
-    }
-
-    #[test]
-    fn gate_passes_within_tolerance_and_fails_past_it() {
-        let baseline = doc(vec![wl("a", 100.0), wl("b", 100.0)]);
-        let measured = doc(vec![wl("a", 71.0), wl("b", 69.0)]);
-        let v = compare_throughput(&baseline, &measured, 0.30).unwrap();
-        assert!(!v[0].regressed, "71% of baseline is inside a 30% gate");
-        assert!(v[1].regressed, "69% of baseline is outside a 30% gate");
-    }
-
-    #[test]
-    fn added_and_dropped_workloads_do_not_fail_the_gate() {
-        let baseline = doc(vec![wl("gone", 100.0)]);
-        let measured = doc(vec![wl("new", 5.0)]);
-        let v = compare_throughput(&baseline, &measured, 0.30).unwrap();
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|x| !x.regressed));
-    }
-
-    #[test]
-    fn best_of_keeps_the_faster_measurement_per_workload() {
-        let a = doc(vec![wl("x", 100.0), wl("y", 50.0), wl("only-a", 7.0)]);
-        let b = doc(vec![wl("x", 90.0), wl("y", 80.0)]);
-        let m = best_of(&a, &b);
-        let ws = m.get("workloads").and_then(Value::as_array).unwrap();
-        let ips = |name: &str| {
-            ws.iter()
-                .find(|w| w.get("workload").and_then(Value::as_str) == Some(name))
-                .and_then(|w| w.get("event_driven_instrs_per_sec"))
-                .and_then(Value::as_f64)
-                .unwrap()
-        };
-        assert_eq!(ips("x"), 100.0);
-        assert_eq!(ips("y"), 80.0);
-        assert_eq!(ips("only-a"), 7.0);
-    }
-
-    #[test]
-    fn malformed_documents_are_errors() {
-        let ok = doc(vec![wl("a", 1.0)]);
-        assert!(compare_throughput(&Value::object(), &ok, 0.3).is_err());
-        let nameless = doc(vec![
-            Value::object().with("event_driven_instrs_per_sec", 1.0)
-        ]);
-        assert!(compare_throughput(&nameless, &ok, 0.3).is_err());
-    }
-
-    #[test]
-    fn markdown_summary_renders_every_verdict_shape() {
-        let verdicts = vec![
-            PerfVerdict {
-                workload: "ok-wl".into(),
-                baseline_ips: Some(10e6),
-                measured_ips: Some(12e6),
-                regressed: false,
-            },
-            PerfVerdict {
-                workload: "regressed-wl".into(),
-                baseline_ips: Some(10e6),
-                measured_ips: Some(5e6),
-                regressed: true,
-            },
-            PerfVerdict {
-                workload: "new-wl".into(),
-                baseline_ips: None,
-                measured_ips: Some(1e6),
-                regressed: false,
-            },
-            PerfVerdict {
-                workload: "gone-wl".into(),
-                baseline_ips: Some(2e6),
-                measured_ips: None,
-                regressed: false,
-            },
-        ];
-        let md = render_verdicts_markdown(&verdicts, 0.30);
-        assert!(md.contains("| workload | baseline | measured | ratio | verdict |"));
-        assert!(md.contains("| ok-wl | 10.00M | 12.00M | 1.20× | ✅ ok |"));
-        assert!(md.contains("**REGRESSED**"));
-        assert!(md.contains("new (no baseline)"));
-        assert!(md.contains("missing from run"));
-        assert!(md.contains("Gate **FAILED**: 1 workload(s) regressed."));
-        let passed = render_verdicts_markdown(&verdicts[..1], 0.30);
-        assert!(passed.contains("Gate **passed**."));
-    }
 
     #[test]
     fn flag_parsing_covers_the_surface() {
@@ -917,6 +546,14 @@ mod tests {
         );
         assert!(parse_run_flags(&["--set".to_string(), "novalue".to_string()]).is_err());
         assert!(parse_run_flags(&["--bogus".to_string()]).is_err());
+        for dead in ["--baseline", "--tolerance"] {
+            let args = [dead.to_string(), "1".to_string()];
+            assert_eq!(
+                parse_run_flags(&args).err(),
+                Some(format!("unknown flag {dead:?}")),
+                "run has no {dead} flag"
+            );
+        }
 
         let args: Vec<String> = ["--checkpoint", "ckpt-dir", "--timeout-secs", "30"]
             .iter()

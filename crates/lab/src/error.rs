@@ -10,10 +10,9 @@
 //! | exit | kind | meaning |
 //! |---:|---|---|
 //! | 0 | – | success |
-//! | 1 | – | perf gate failed (regression past tolerance) |
 //! | 2 | `usage` | bad flags, unknown command/scenario |
 //! | 3 | `io` | filesystem read/write failure |
-//! | 4 | `parse` | malformed JSON in a report/baseline file |
+//! | 4 | `parse` | malformed JSON in a report file |
 //! | 5 | `param` | invalid scenario parameter (`--set`: unknown, mistyped, negative count, `trials=0`) |
 //! | 6 | `scenario-panic` | a trial panicked; isolated and recorded as a failed cell |
 //! | 7 | `timeout` | a trial exceeded `--timeout-secs`; recorded as a failed cell |
@@ -229,7 +228,7 @@ mod tests {
     fn messages_carry_context() {
         let e = LabError::io("writing results/x.json", "no space");
         assert_eq!(e.to_string(), "writing results/x.json: no space");
-        let e = LabError::timeout("perf_baseline", 30);
+        let e = LabError::timeout("fig11_arbitrary_replacement", 30);
         assert!(e.to_string().contains("30s"));
     }
 }

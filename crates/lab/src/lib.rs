@@ -13,14 +13,13 @@
 //! racer-lab run fig08_granularity_add --quick
 //! racer-lab run --all --quick          # the CI matrix, in parallel
 //! racer-lab report site results        # static HTML dashboard from reports
-//! racer-lab perf-check                 # throughput gate vs BENCH_pipeline.json
 //! ```
 //!
 //! Every run writes `results/<scenario>.json`: a versioned report
 //! (`racer-lab/v1`) carrying the resolved config, the seed, git-describe
-//! provenance and the structured results. Reports from deterministic
-//! scenarios are byte-identical across runs — CI diffs them, and the
-//! golden tests in `tests/golden.rs` enforce it.
+//! provenance and the structured results. Every scenario is
+//! deterministic: its reports are byte-identical across runs — CI diffs
+//! them, and the golden tests in `tests/golden.rs` enforce it.
 //!
 //! Scenario fan-out uses [`racer_cpu::batch::par_map`], so `run --all`
 //! saturates host cores while keeping output order stable.

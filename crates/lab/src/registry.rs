@@ -51,16 +51,12 @@ pub struct Scenario {
     pub params: Vec<ParamSpec>,
     /// Base seed recorded in the report and fed to [`RunContext::seed`].
     pub seed: u64,
-    /// Whether two runs with identical config produce byte-identical
-    /// reports. Everything except wall-clock benchmarks is deterministic;
-    /// the golden tests enforce this flag.
-    pub deterministic: bool,
     /// The experiment body.
     pub run: RunFn,
 }
 
 /// All registered scenarios, in presentation order (figures, tables,
-/// evaluations, then infrastructure benchmarks).
+/// evaluations, then the gadget search).
 pub fn registry() -> Vec<Scenario> {
     crate::scenarios::all()
 }
@@ -100,7 +96,6 @@ mod tests {
             "fig11_arbitrary_replacement",
             "fig12_arithmetic",
             "noise_sensitivity_eval",
-            "perf_baseline",
             "spectre_back_eval",
             "table_granularity",
             "table_par_seq",

@@ -79,7 +79,9 @@ fn envelope(scenario: &Scenario, opts: &RunOptions, seed: u64, config: Value) ->
         .with("description", scenario.description)
         .with("scale", opts.scale.name())
         .with("seed", seed)
-        .with("deterministic", scenario.deterministic)
+        // Every registered scenario is deterministic; the member stays so
+        // reports keep their format.
+        .with("deterministic", true)
         .with("config", config)
         .with("provenance", crate::provenance::to_value())
 }

@@ -70,7 +70,6 @@ fn spectre_back_eval() -> Scenario {
             ),
         ],
         seed: 0xD00D,
-        deterministic: true,
         run: spectre_run,
     }
 }
@@ -100,7 +99,6 @@ fn eviction_set_eval() -> Scenario {
             ParamSpec::int("pool_pages", "candidate pool size (pages)", 48, 48),
         ],
         seed: 0,
-        deterministic: true,
         run: ev_run,
     }
 }
@@ -130,7 +128,6 @@ fn countermeasures_eval() -> Scenario {
         description: "which racing gadgets survive which hardware defences",
         params: Vec::new(),
         seed: 0,
-        deterministic: true,
         run: countermeasures_run,
     }
 }
@@ -167,7 +164,6 @@ fn detection_eval() -> Scenario {
         description: "performance-counter profiles of gadget vs benign workloads",
         params: Vec::new(),
         seed: 0,
-        deterministic: true,
         run: detection_run,
     }
 }
@@ -210,7 +206,6 @@ fn noise_sensitivity_eval() -> Scenario {
             ),
         ],
         seed: 0,
-        deterministic: true,
         run: noise_run,
     }
 }
@@ -267,7 +262,6 @@ fn timer_mitigations_eval() -> Scenario {
             ParamSpec::int("trials", "transmissions per cell", 3, 8),
         ],
         seed: 0,
-        deterministic: true,
         run: mitigations_run,
     }
 }
@@ -310,7 +304,6 @@ fn window_ablation_eval() -> Scenario {
             ParamSpec::int("max_probe", "largest target probed", 160, 160),
         ],
         seed: 0,
-        deterministic: true,
         run: window_run,
     }
 }

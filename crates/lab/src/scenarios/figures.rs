@@ -49,7 +49,6 @@ fn fig07_repetition() -> Scenario {
             200,
         )],
         seed: 0,
-        deterministic: true,
         run: fig07_run,
     }
 }
@@ -95,7 +94,6 @@ fn fig08_granularity_add() -> Scenario {
             ParamSpec::int("max_ref", "reference-path cap (ops)", 80, 80),
         ],
         seed: 0,
-        deterministic: true,
         run: fig08_run,
     }
 }
@@ -119,7 +117,6 @@ fn fig09_granularity_mul() -> Scenario {
             ParamSpec::int("max_ref", "reference-path cap (ops)", 60, 60),
         ],
         seed: 0,
-        deterministic: true,
         run: fig09_run,
     }
 }
@@ -174,7 +171,6 @@ fn fig10_reorder_distribution() -> Scenario {
             ParamSpec::int("rounds", "magnifier pattern repetitions", 800, 4000),
         ],
         seed: 0,
-        deterministic: true,
         run: fig10_run,
     }
 }
@@ -212,7 +208,6 @@ fn fig11_arbitrary_replacement() -> Scenario {
             ParamSpec::int("delay", "target delay (cycles) being magnified", 30, 30),
         ],
         seed: 0,
-        deterministic: true,
         run: fig11_run,
     }
 }
@@ -263,7 +258,6 @@ fn fig12_arithmetic() -> Scenario {
             ),
         ],
         seed: 0,
-        deterministic: true,
         run: fig12_run,
     }
 }

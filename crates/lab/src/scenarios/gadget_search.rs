@@ -259,7 +259,6 @@ pub fn gadget_search_eval() -> Scenario {
             ),
         ],
         seed: 9,
-        deterministic: true,
         run,
     }
 }

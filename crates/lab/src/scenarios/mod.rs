@@ -14,12 +14,10 @@
 //! | Extension studies | `noise_sensitivity_eval`, `timer_mitigations_eval`, `window_ablation_eval` |
 //! | §9 SMT contention | `smt_contention_eval` |
 //! | Automated gadget discovery | `gadget_search_eval` |
-//! | Infrastructure benchmark | `perf_baseline` |
 
 mod evals;
 mod figures;
 mod gadget_search;
-mod perf;
 mod plru_walk;
 mod smt;
 mod tables;
@@ -34,7 +32,6 @@ pub fn all() -> Vec<Scenario> {
     out.extend(evals::all());
     out.push(smt::smt_contention_eval());
     out.push(gadget_search::gadget_search_eval());
-    out.push(perf::perf_baseline());
     out
 }
 

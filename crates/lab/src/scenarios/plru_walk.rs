@@ -190,7 +190,6 @@ pub fn fig03_plru_walk() -> Scenario {
             3,
         )],
         seed: 0,
-        deterministic: true,
         run,
     }
 }

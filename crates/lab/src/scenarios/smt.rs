@@ -418,7 +418,6 @@ pub fn smt_contention_eval() -> Scenario {
             ),
         ],
         seed: 0,
-        deterministic: true,
         run,
     }
 }

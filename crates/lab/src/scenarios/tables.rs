@@ -56,7 +56,6 @@ fn table_granularity() -> Scenario {
             ParamSpec::int("fig9_max_ref", "Figure 9 reference cap", 60, 60),
         ],
         seed: 0,
-        deterministic: true,
         run: granularity_run,
     }
 }
@@ -89,7 +88,6 @@ fn table_par_seq() -> Scenario {
             ParamSpec::int("trials", "Monte-Carlo trials per cell", 2_000, 50_000),
         ],
         seed: 0,
-        deterministic: true,
         run: par_seq_run,
     }
 }

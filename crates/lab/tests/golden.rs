@@ -2,7 +2,7 @@
 //!
 //! Three layers:
 //!
-//! 1. **Determinism sweep** — every scenario flagged `deterministic` runs
+//! 1. **Determinism sweep** — every registered scenario runs
 //!    twice (at quick scale, with heavy axes shrunk further so the debug
 //!    test build stays fast) and must produce byte-identical reports.
 //! 2. **Committed snapshots** — the two purely structural scenarios
@@ -62,11 +62,8 @@ fn tiny_overrides(name: &str) -> Vec<(String, String)> {
 
 #[test]
 fn every_deterministic_scenario_is_byte_identical_across_runs() {
-    let scenarios: Vec<_> = registry().into_iter().filter(|s| s.deterministic).collect();
-    assert!(
-        scenarios.len() >= 16,
-        "expected >= 16 deterministic scenarios"
-    );
+    let scenarios = registry();
+    assert!(scenarios.len() >= 17, "expected >= 17 scenarios");
     // Independent scenario pairs: fan the sweep out across host cores.
     let renders = racer_cpu::batch::par_map(&scenarios, |sc| {
         let opts = RunOptions {
@@ -89,19 +86,6 @@ fn every_deterministic_scenario_is_byte_identical_across_runs() {
             "{name} lost the report envelope"
         );
     }
-}
-
-/// The perf baseline is the one intentionally non-deterministic scenario
-/// (it measures wall-clock throughput); make sure nobody quietly flips
-/// the flag and breaks the CI diffing assumption.
-#[test]
-fn only_the_perf_baseline_is_nondeterministic() {
-    let nondet: Vec<&str> = registry()
-        .iter()
-        .filter(|s| !s.deterministic)
-        .map(|s| s.name)
-        .collect();
-    assert_eq!(nondet, ["perf_baseline"]);
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -261,7 +245,9 @@ fn list_names_json_is_machine_readable() {
     let names = Value::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("JSON array");
     let names = names.as_array().expect("array");
     assert!(names.len() >= 17);
-    assert!(names.iter().any(|n| n.as_str() == Some("perf_baseline")));
+    assert!(names
+        .iter()
+        .any(|n| n.as_str() == Some("fig11_arbitrary_replacement")));
 }
 
 /// A sweep with fewer than one trial per cell measures nothing: `trials=0`

@@ -11,8 +11,8 @@
 //! * flat rows with a **repeating text column** and ≥ 2 numeric columns
 //!   (`timer_mitigations_eval` accuracy grids) → a grouped line chart,
 //!   series keyed by the text column;
-//! * flat rows with a **unique text column** (`perf_baseline` workloads,
-//!   `detection_eval` profiles, `smt_contention_eval` mix summaries) →
+//! * flat rows with a **unique text column** (`detection_eval` profiles,
+//!   `smt_contention_eval` mix summaries) →
 //!   one horizontal bar chart per numeric column;
 //! * flat **all-numeric** rows (`window_ablation_eval`) → a single-series
 //!   line chart;

@@ -4,7 +4,7 @@
 //! `racer-lab/v1` documents with pinned provenance (`git: "fixture0"`),
 //! covering every rendering shape: a grouped sweep with quick *and*
 //! paper presets (delta table), a nested point-series
-//! figure, suite-style workload rows, and a boolean matrix. The rendered
+//! figure, suite-style profile rows, and a boolean matrix. The rendered
 //! pages are committed under `tests/golden/` and must match byte for
 //! byte — the determinism the CI artifact and downstream diffing rely
 //! on. After an intended rendering change, regenerate with
@@ -73,9 +73,9 @@ fn meta() -> Vec<ScenarioMeta> {
             1,
         ),
         m(
-            "perf_baseline",
-            "perf",
-            "event-driven vs reference scheduler throughput",
+            "detection_eval",
+            "§8 detection",
+            "performance-counter profiles of gadget vs benign workloads",
             2,
         ),
     ]
@@ -176,7 +176,7 @@ fn every_fixture_scenario_gets_plots_and_provenance() {
     for needle in [
         "fig08_granularity_add",
         "timer_mitigations_eval",
-        "perf_baseline",
+        "detection_eval",
         "countermeasures_eval",
         "fixture0",
     ] {
@@ -193,8 +193,8 @@ fn every_fixture_scenario_gets_plots_and_provenance() {
     assert!(fig.contains("ref_ops vs target_ops"));
     assert!(fig.contains("slope by <code>target_op</code>"));
     // Suite page: bar chart per measure.
-    let perf = page("scenarios/perf_baseline.html");
-    assert!(perf.contains("speedup by <code>workload</code>"));
+    let suite = page("scenarios/detection_eval.html");
+    assert!(suite.contains("ipc by <code>name</code>"));
     // Matrix page: a table, no chart (nothing numeric).
     let matrix = page("scenarios/countermeasures_eval.html");
     assert!(!matrix.contains("<svg"));

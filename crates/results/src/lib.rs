@@ -4,8 +4,8 @@
 //! structured output needs its own machinery. This crate is that
 //! machinery: an order-preserving [`Value`] model, a deterministic
 //! writer, and a small strict parser — enough to emit every `racer-lab`
-//! scenario report and to read committed baselines like
-//! `BENCH_pipeline.json` back for regression gating.
+//! scenario report and to read reports back for the dashboard, the
+//! checkpoint journal and the golden tests.
 //!
 //! Design constraints, in order:
 //!

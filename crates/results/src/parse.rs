@@ -1,8 +1,8 @@
 //! A small strict JSON parser.
 //!
-//! Reads committed result baselines (`BENCH_pipeline.json`,
-//! `results/*.json`) back into [`Value`] for regression gating and for the
-//! golden tests to validate emitted output. Strict RFC 8259: no comments,
+//! Reads reports (`results/*.json`, checkpoint records) back into
+//! [`Value`] for the dashboard, for resuming and for the golden tests to
+//! validate emitted output. Strict RFC 8259: no comments,
 //! no trailing commas, one top-level value.
 
 use crate::Value;

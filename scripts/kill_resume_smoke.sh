@@ -62,12 +62,7 @@ echo "# resuming"
 "$BIN" run --all --quick --quiet --out "$work/out" --checkpoint "$work/ckpt"
 
 echo "# verifying byte-identity with the golden run"
-# perf_baseline measures wall-clock throughput — the one deliberately
-# non-deterministic scenario (see KNOWN_FAILURES.md), so two runs can
-# never byte-match it. Its presence + strict-parseability is still
-# checked by the dashboard render below.
-diff -r --exclude=perf_baseline.json "$work/golden" "$work/out"
-test -f "$work/out/perf_baseline.json"
+diff -r "$work/golden" "$work/out"
 
 # The dashboard render strict-parses and envelope-validates every result
 # file; rendering the resumed outputs proves none are corrupt.
