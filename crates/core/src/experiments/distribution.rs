@@ -29,9 +29,9 @@ pub struct DistributionResult {
 ///
 /// The magnifier program depends only on rounds and L1 geometry —
 /// identical across every noisy machine — so all trials×2 lanes share one
-/// program (assembled once, carrying its µop table) and fan out through
-/// [`run_lanes_batched`]. Lanes record no load events: only cycle counts
-/// are read.
+/// program (assembled once, carrying its µop table) and run as chunked
+/// fork-engine lanes across host cores (`run_lanes_batched`). Lanes
+/// record no load events: only cycle counts are read.
 pub fn figure10(trials: usize, rounds: usize) -> DistributionResult {
     let mut transmit1_ms = Vec::with_capacity(trials);
     let mut transmit0_ms = Vec::with_capacity(trials);

@@ -22,24 +22,6 @@ use racer_cpu::batch::{max_threads, par_map};
 use racer_cpu::RunResult;
 use racer_isa::Program;
 
-/// Which execution strategy carries an experiment's heavy trial runs.
-///
-/// Both paths are bit-identical in every simulated observable (pinned by
-/// the engine differential suites and per-experiment equality tests);
-/// they differ only in wall-clock cost. [`TrialPath::Batched`] is the
-/// default everywhere; [`TrialPath::PerMachine`] survives as the
-/// reference arm of the `scenario-e2e` perf rows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrialPath {
-    /// Fork every prepared trial machine and run the forks in ordered
-    /// chunks across host cores, lanes sharing a scheduling context
-    /// within each chunk ([`Machine::sweep`] over [`run_lanes_batched`]).
-    Batched,
-    /// One machine per trial cell, run to completion immediately — the
-    /// pre-batch pipeline shape.
-    PerMachine,
-}
-
 /// Most lanes one [`Machine::sweep`] chunk takes. Chunks trade two costs:
 /// within a chunk, lanes share one reused scheduling context; across
 /// chunks, [`par_map`] balances load between host cores. Measured on

@@ -5,9 +5,8 @@
 //! browser timer on a machine with DRAM jitter.
 
 use crate::attacks::SpectreBack;
-use crate::experiments::TrialPath;
 use crate::machine::Machine;
-use racer_time::{CoarseTimer, Timer};
+use racer_time::CoarseTimer;
 
 /// Measured SpectreBack performance.
 #[derive(Clone, Debug)]
@@ -25,25 +24,12 @@ pub struct SpectreEval {
 /// Leak `secret` on a jittery machine through a `timer_resolution_ns`
 /// browser timer.
 pub fn evaluate(secret: &[u8], timer_resolution_ns: f64, noise_seed: u64) -> SpectreEval {
-    evaluate_counted(secret, timer_resolution_ns, noise_seed).0
-}
-
-/// [`evaluate`] plus the instructions the attack committed — the work
-/// metric of the `scenario-e2e` perf rows.
-pub fn evaluate_counted(
-    secret: &[u8],
-    timer_resolution_ns: f64,
-    noise_seed: u64,
-) -> (SpectreEval, u64) {
     let mut m = Machine::noisy(noise_seed);
     let atk = SpectreBack::new(m.layout());
     atk.plant_secret(&mut m, secret);
     let mut timer = CoarseTimer::new(timer_resolution_ns);
     let report = atk.leak_bytes(&mut m, secret.len(), &mut timer);
-    (
-        score(secret, report.recovered, report.kbps),
-        m.committed_total(),
-    )
+    score(secret, report.recovered, report.kbps)
 }
 
 /// Grade `recovered` against `secret` bit-by-bit.
@@ -58,108 +44,6 @@ fn score(secret: &[u8], recovered: Vec<u8>, kbps: f64) -> SpectreEval {
         recovered,
         accuracy: correct_bits as f64 / (secret.len() * 8) as f64,
         kbps,
-    }
-}
-
-/// Captures every `(start_ns, end_ns)` measurement window of one attack run
-/// while reporting perfect durations. The batched resolution sweep records
-/// the window sequence once, then re-observes it through each candidate
-/// timer.
-struct WindowRecorder {
-    windows: Vec<(f64, f64)>,
-}
-
-impl Timer for WindowRecorder {
-    fn now(&mut self, t_ns: f64) -> f64 {
-        t_ns
-    }
-
-    fn resolution_ns(&self) -> f64 {
-        0.0
-    }
-
-    fn measure(&mut self, start_ns: f64, end_ns: f64) -> f64 {
-        self.windows.push((start_ns, end_ns));
-        end_ns - start_ns
-    }
-}
-
-/// Re-run the attack's bit decisions from recorded measurement windows
-/// through `timer`: windows 0–1 are the calibration pair (threshold =
-/// their mean, mirroring [`SpectreBack::calibrate`]), the rest are one
-/// transmission per (byte, bit) in LSB-first order, mirroring
-/// [`SpectreBack::leak_bytes`].
-fn replay(secret: &[u8], windows: &[(f64, f64)], timer: &mut dyn Timer, kbps: f64) -> SpectreEval {
-    let n = secret.len();
-    assert_eq!(
-        windows.len(),
-        2 + n * 8,
-        "one window per calibration reading and per transmitted bit"
-    );
-    let threshold = (timer.measure(windows[0].0, windows[0].1)
-        + timer.measure(windows[1].0, windows[1].1))
-        / 2.0;
-    let mut recovered = Vec::with_capacity(n);
-    for byte_idx in 0..n {
-        let mut byte = 0u8;
-        for bit in 0..8 {
-            let (start, end) = windows[2 + byte_idx * 8 + bit];
-            if timer.measure(start, end) < threshold {
-                byte |= 1 << bit;
-            }
-        }
-        recovered.push(byte);
-    }
-    score(secret, recovered, kbps)
-}
-
-/// Sweep SpectreBack across browser-timer resolutions, returning one eval
-/// per resolution plus the total instructions committed.
-///
-/// The machine side of [`SpectreBack::leak_bytes`] never consults the
-/// timer — readings only feed the post-hoc threshold comparisons that
-/// decide each bit — so [`TrialPath::Batched`] runs the attack **once**
-/// against a [`WindowRecorder`] and replays the recorded windows through
-/// each resolution's (jitter-free, hence stateless) [`CoarseTimer`]. That
-/// reproduces every per-resolution run bit-for-bit at `1/R` of the
-/// simulation work; [`TrialPath::PerMachine`] re-runs the attack per
-/// resolution like the pre-batch pipeline did.
-pub fn resolution_sweep_on(
-    secret: &[u8],
-    resolutions_ns: &[f64],
-    noise_seed: u64,
-    path: TrialPath,
-) -> (Vec<SpectreEval>, u64) {
-    match path {
-        TrialPath::PerMachine => {
-            let mut committed = 0u64;
-            let evals = resolutions_ns
-                .iter()
-                .map(|&res| {
-                    let (eval, c) = evaluate_counted(secret, res, noise_seed);
-                    committed += c;
-                    eval
-                })
-                .collect();
-            (evals, committed)
-        }
-        TrialPath::Batched => {
-            let mut m = Machine::noisy(noise_seed);
-            let atk = SpectreBack::new(m.layout());
-            atk.plant_secret(&mut m, secret);
-            let mut rec = WindowRecorder {
-                windows: Vec::new(),
-            };
-            let report = atk.leak_bytes(&mut m, secret.len(), &mut rec);
-            let evals = resolutions_ns
-                .iter()
-                .map(|&res| {
-                    let mut timer = CoarseTimer::new(res);
-                    replay(secret, &rec.windows, &mut timer, report.kbps)
-                })
-                .collect();
-            (evals, m.committed_total())
-        }
     }
 }
 
@@ -213,42 +97,5 @@ mod tests {
         let eval = evaluate(b"OK", 5_000.0, 7);
         let s = render(&eval);
         assert!(s.contains("accuracy") && s.contains("kbit/s"));
-    }
-
-    const RESOLUTIONS: [f64; 3] = [1_000.0, 5_000.0, 25_000.0];
-
-    #[test]
-    fn resolution_sweep_paths_agree_exactly() {
-        let (batched, _) = resolution_sweep_on(b"OK", &RESOLUTIONS, 42, TrialPath::Batched);
-        let (per_machine, _) = resolution_sweep_on(b"OK", &RESOLUTIONS, 42, TrialPath::PerMachine);
-        assert_eq!(batched.len(), per_machine.len());
-        for (b, p) in batched.iter().zip(&per_machine) {
-            assert_eq!(b.recovered, p.recovered, "recovered bytes must match");
-            assert_eq!(b.accuracy.to_bits(), p.accuracy.to_bits());
-            assert_eq!(b.kbps.to_bits(), p.kbps.to_bits());
-        }
-    }
-
-    #[test]
-    fn batched_sweep_commits_one_attack_of_work() {
-        let (_, bc) = resolution_sweep_on(b"OK", &RESOLUTIONS, 42, TrialPath::Batched);
-        let (_, pc) = resolution_sweep_on(b"OK", &RESOLUTIONS, 42, TrialPath::PerMachine);
-        assert!(bc > 0);
-        assert_eq!(
-            pc,
-            bc * RESOLUTIONS.len() as u64,
-            "per-machine must re-run the attack once per resolution"
-        );
-    }
-
-    #[test]
-    fn sweep_matches_single_evaluations() {
-        let (sweep, _) = resolution_sweep_on(b"OK", &RESOLUTIONS, 9, TrialPath::Batched);
-        for (eval, &res) in sweep.iter().zip(&RESOLUTIONS) {
-            let single = evaluate(b"OK", res, 9);
-            assert_eq!(eval.recovered, single.recovered);
-            assert_eq!(eval.accuracy.to_bits(), single.accuracy.to_bits());
-            assert_eq!(eval.kbps.to_bits(), single.kbps.to_bits());
-        }
     }
 }

@@ -9,7 +9,7 @@
 //! classification accuracy. Because PLRU magnification is unbounded, there
 //! is a round count that defeats *every* finite resolution.
 
-use crate::experiments::{run_lanes_batched, TrialPath};
+use crate::experiments::run_lanes_batched;
 use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_cpu::CpuConfig;
@@ -42,94 +42,21 @@ fn build_timer(name: &str, seed: u64) -> Box<dyn Timer> {
 
 /// Transmit `trials` known bits per (timer, rounds) cell; score accuracy.
 ///
+/// The heavy magnifier run of a (trial, bit, rounds) cell is
+/// *timer-independent*: `prepare` and the bit-ordered warms poke caches
+/// without running programs, so the machine's clock is zero when the
+/// magnifier runs and every observation a timer scores is
+/// `timer.measure(0, cycles_to_ns(cycles))` of the same cycle count. The
+/// sweep therefore runs the rounds × trial × bit cell grid exactly once
+/// through the fork engine — one shared program per rounds value (the
+/// magnifier program depends only on rounds and L1 geometry), lanes
+/// chunked across host cores — and scores the cycles under every timer.
+///
 /// # Panics
 ///
 /// Panics if `trials == 0`: a cell with no transmissions has no accuracy.
 pub fn sweep(timers: &[&str], round_counts: &[usize], trials: usize) -> Vec<MitigationPoint> {
-    sweep_on(timers, round_counts, trials, TrialPath::Batched).0
-}
-
-/// [`sweep`] with an explicit [`TrialPath`], additionally returning the
-/// total instructions the chosen path committed in heavy magnifier runs —
-/// the work metric the `scenario-e2e` perf rows normalise wall-clock by.
-/// The count is logical: it includes the rounds the core fast-forwarded
-/// through instead of simulating (`RunResult::fast_forwarded`), so it is
-/// the same whether or not a lane settled.
-/// Both paths return bit-identical points; the batched path commits
-/// `1/timers.len()` of the per-machine path's instructions (see the
-/// cell-grid note inside).
-///
-/// # Panics
-///
-/// Panics if `trials == 0`, as [`sweep`] does.
-pub fn sweep_on(
-    timers: &[&str],
-    round_counts: &[usize],
-    trials: usize,
-    path: TrialPath,
-) -> (Vec<MitigationPoint>, u64) {
     assert!(trials > 0, "a mitigation sweep needs at least one trial");
-    match path {
-        TrialPath::PerMachine => sweep_per_machine(timers, round_counts, trials),
-        TrialPath::Batched => sweep_batched(timers, round_counts, trials),
-    }
-}
-
-/// The pre-batch pipeline: one fresh machine and one heavy magnifier run
-/// per (timer, rounds, trial, bit) cell.
-fn sweep_per_machine(
-    timers: &[&str],
-    round_counts: &[usize],
-    trials: usize,
-) -> (Vec<MitigationPoint>, u64) {
-    let mut committed = 0u64;
-    let mut out = Vec::new();
-    for &tname in timers {
-        for &rounds in round_counts {
-            let mut zeros = Vec::new();
-            let mut ones = Vec::new();
-            for t in 0..trials {
-                // One timer per trial, seeded by the trial index, so a
-                // stateful timer's jitter stream is the same on both
-                // trial paths.
-                let mut timer = build_timer(tname, 0xBEEF ^ (t as u64).wrapping_mul(0x9E37));
-                for bit in [false, true] {
-                    let mut m = prepared_machine(t, bit, rounds);
-                    let mag = PlruMagnifier::with(m.layout(), 5, rounds);
-                    let prog = mag.program(&m, PlruInput::Reorder);
-                    let start = m.elapsed_ns();
-                    let r = m.run(&prog);
-                    committed += r.committed;
-                    let obs = timer.measure(start, m.elapsed_ns());
-                    if bit {
-                        ones.push(obs);
-                    } else {
-                        zeros.push(obs);
-                    }
-                }
-            }
-            out.push(score_cell(tname, rounds, trials, &zeros, &ones));
-        }
-    }
-    (out, committed)
-}
-
-/// The batch-first pipeline. The heavy magnifier run of a
-/// (trial, bit, rounds) cell is *timer-independent*: `prepare` and the
-/// bit-ordered warms poke caches without running programs, so the
-/// machine's clock is zero when the magnifier runs and every observation
-/// a timer scores is `timer.measure(0, cycles_to_ns(cycles))` of the
-/// same cycle count. This path therefore runs the
-/// rounds × trial × bit cell grid exactly once through the fork
-/// engine — one shared program per rounds value (the magnifier program
-/// depends only on rounds and L1 geometry), lanes chunked across host
-/// cores — and scores the cached cycles under every timer, where the
-/// per-machine plan re-runs the whole grid per timer.
-fn sweep_batched(
-    timers: &[&str],
-    round_counts: &[usize],
-    trials: usize,
-) -> (Vec<MitigationPoint>, u64) {
     // Prepared machines in (rounds, trial, bit) order, then one shared
     // program per rounds value.
     let mut cells: Vec<(Machine, usize)> = Vec::with_capacity(round_counts.len() * trials * 2);
@@ -154,7 +81,6 @@ fn sweep_batched(
             cells.into_iter().map(|(m, ri)| (m, &progs[ri])).collect();
         run_lanes_batched(&lanes)
     };
-    let committed = results.iter().map(|r| r.committed).sum();
     let cfg = CpuConfig::coffee_lake();
     let mut out = Vec::new();
     for &tname in timers {
@@ -177,13 +103,13 @@ fn sweep_batched(
             out.push(score_cell(tname, rounds, trials, &zeros, &ones));
         }
     }
-    (out, committed)
+    out
 }
 
 /// The fresh noisy machine of a (trial, bit, rounds) cell, with the
 /// Figure 3.1 set state prepared and the raced lines warmed in bit order.
 /// Pokes only — the machine's clock stays at zero. The sweep reads only
-/// cycles and committed counts, so the core records no load events.
+/// cycle counts, so the core records no load events.
 fn prepared_machine(t: usize, bit: bool, rounds: usize) -> Machine {
     let seed = t as u64 * 31 + u64::from(bit);
     let mut m = Machine::with(CpuConfig::coffee_lake(), Machine::noisy_hierarchy(seed));
@@ -304,12 +230,46 @@ mod tests {
         let _ = sweep(&["5us"], &[500], 0);
     }
 
+    /// The reference the batched sweep must reproduce: one fresh machine
+    /// and one heavy magnifier run per (timer, rounds, trial, bit) cell.
+    fn sweep_per_machine(
+        timers: &[&str],
+        round_counts: &[usize],
+        trials: usize,
+    ) -> Vec<MitigationPoint> {
+        let mut out = Vec::new();
+        for &tname in timers {
+            for &rounds in round_counts {
+                let mut zeros = Vec::new();
+                let mut ones = Vec::new();
+                for t in 0..trials {
+                    let mut timer = build_timer(tname, 0xBEEF ^ (t as u64).wrapping_mul(0x9E37));
+                    for bit in [false, true] {
+                        let mut m = prepared_machine(t, bit, rounds);
+                        let mag = PlruMagnifier::with(m.layout(), 5, rounds);
+                        let prog = mag.program(&m, PlruInput::Reorder);
+                        let start = m.elapsed_ns();
+                        m.run(&prog);
+                        let obs = timer.measure(start, m.elapsed_ns());
+                        if bit {
+                            ones.push(obs);
+                        } else {
+                            zeros.push(obs);
+                        }
+                    }
+                }
+                out.push(score_cell(tname, rounds, trials, &zeros, &ones));
+            }
+        }
+        out
+    }
+
     #[test]
     fn batched_and_per_machine_paths_agree_exactly() {
         let timers = ["5us", "5us+jitter", "fuzzy-5us"];
         let rounds = [400, 1000];
-        let (b, bc) = sweep_on(&timers, &rounds, 3, TrialPath::Batched);
-        let (p, pc) = sweep_on(&timers, &rounds, 3, TrialPath::PerMachine);
+        let b = sweep(&timers, &rounds, 3);
+        let p = sweep_per_machine(&timers, &rounds, 3);
         assert_eq!(b.len(), p.len());
         for (x, y) in b.iter().zip(&p) {
             assert_eq!(
@@ -324,15 +284,11 @@ mod tests {
                 x.rounds
             );
         }
-        // The batched path runs the timer-independent cell grid once; the
-        // per-machine plan re-runs it for every timer.
-        assert!(bc > 0);
-        assert_eq!(pc, bc * timers.len() as u64);
     }
 
     #[test]
     fn sweep_lanes_record_no_load_events() {
-        // The sweep reads only cycles and committed counts; a paper-scale
+        // The sweep reads only cycle counts; a paper-scale
         // lane would otherwise log six load events per round.
         let m = prepared_machine(0, true, 50);
         let prog = PlruMagnifier::with(m.layout(), 5, 50).program(&m, PlruInput::Reorder);

@@ -7,7 +7,7 @@
 //! archive, per-generation logs, rng position — is a pure function of
 //! `(SearchConfig, seed)`. Candidate *generation* is serial (one rng),
 //! candidate *evaluation* fans out through
-//! [`par_map_workers`](racer_cpu::batch::par_map_workers) whose results
+//! [`par_map_workers`] whose results
 //! come back in input order regardless of scheduling, and archive
 //! updates replay in candidate order. Nothing observes wall-clock or
 //! thread identity.

@@ -33,7 +33,7 @@ pub struct Machine {
     /// the wall clock that coarse timers observe.
     elapsed_ns: f64,
     /// Instructions committed by every clock-advancing run on this
-    /// machine — the work metric of the `scenario-e2e` perf rows.
+    /// machine.
     committed: u64,
     /// Body rounds those runs skipped by steady-state fast-forward.
     fast_forwarded: u64,
@@ -82,8 +82,8 @@ impl Machine {
     ///
     /// Deliberately *not* routed through the [`SnapshotCache`]: every
     /// trial uses a distinct `seed`, so each call is a distinct cache key
-    /// — caching would only churn the LRU. (Same for
-    /// [`Machine::random_l1`].)
+    /// — caching would only keep one never-reused snapshot per trial.
+    /// (Same for [`Machine::random_l1`].)
     pub fn noisy(seed: u64) -> Self {
         Self::with(
             CpuConfig::coffee_lake().with_load_recording(),
@@ -274,8 +274,8 @@ impl Machine {
     /// Total instructions committed by clock-advancing runs on this
     /// machine ([`Machine::run`]/[`Machine::run_with`]/
     /// [`Machine::run_timed`]; [`Machine::batch`]/[`Machine::sweep`] fork
-    /// and leave the machine untouched). The `scenario-e2e` perf rows use
-    /// this as their backend-independent work metric.
+    /// and leave the machine untouched), including the instructions of
+    /// rounds a timed run fast-forwarded through.
     pub fn committed_total(&self) -> u64 {
         self.committed
     }

@@ -23,9 +23,9 @@
 //! resources"): [`CpuConfig::threads`](crate::CpuConfig) contexts each own
 //! a private front end (fetch PC, fetch queue), ROB ring, rename state
 //! (RAT + undo log), scheduling structures and retire port — all hoisted
-//! into [`ThreadCtx`] — while the *structural* resources stay shared at the
+//! into `ThreadCtx` — while the *structural* resources stay shared at the
 //! core level: issue bandwidth, functional-unit ports, the non-pipelined
-//! divider units, the MSHR file and the cache hierarchy ([`Shared`]).
+//! divider units, the MSHR file and the cache hierarchy (`Shared`).
 //! Each cycle an [`SmtPolicy`](crate::config::SmtPolicy) (round-robin or
 //! ICOUNT) decides which context claims issue slots first. With
 //! `threads == 1` every structure and decision reduces exactly to the
@@ -100,7 +100,7 @@
 //!   bit-identical results, counted in `RunResult::fast_forwarded`. The
 //!   reference scheduler never fast-forwards.
 //! * **No steady-state allocation.** All scheduling structures live in
-//!   the per-thread [`ThreadCtx`] structs, owned by [`Cpu`] and reused
+//!   the per-thread `ThreadCtx` structs, owned by [`Cpu`] and reused
 //!   across [`Cpu::run`] calls, and a run decodes nothing (the µop table
 //!   belongs to the program);
 //!   sources use inline `[Src; 3]` storage (no instruction has more than
@@ -720,8 +720,8 @@ impl Cpu {
     }
 
     /// Capture this machine's persistent state (config, caches, data
-    /// memory, trained predictor) as a shareable [`Snapshot`] that
-    /// [`Snapshot::fork`] can stamp out independent machines from.
+    /// memory, trained predictor) as a shareable [`Snapshot`](crate::Snapshot) that
+    /// [`Snapshot::fork`](crate::Snapshot::fork) can stamp out independent machines from.
     ///
     /// # Panics
     ///

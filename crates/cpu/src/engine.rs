@@ -20,10 +20,10 @@
 //!   nothing. A countermeasure or repeat-count sweep that runs the same
 //!   gadget N times decodes it once.
 //! * **Copy-on-write lane memory**: forking a lane clones the snapshot's
-//!   [`Hierarchy`](racer_mem::Hierarchy), which shares cache storage in
+//!   [`Hierarchy`], which shares cache storage in
 //!   `Arc`-backed chunks and only materialises the chunks the lane
 //!   actually writes (see `racer_mem`'s COW docs).
-//! * **One reused context**: a single [`ThreadCtx`] (ROB ring, ready
+//! * **One reused context**: a single `ThreadCtx` (ROB ring, ready
 //!   heaps, stall pool, store queue) is reset and reused for every lane,
 //!   so a call allocates scheduling structures once.
 //!
@@ -190,32 +190,14 @@ where
 /// [`SnapshotCache::counters`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotCacheCounters {
-    /// Lookups answered by an existing entry.
+    /// Lookups answered by an existing (or concurrently built) snapshot.
     pub hits: u64,
     /// Lookups that had to build (and warm) a machine.
     pub misses: u64,
 }
 
-/// One cached warm snapshot: the exact key it was built from plus its
-/// fingerprint (a fast pre-filter — equality is always confirmed on the
-/// full key, so fingerprint collisions cost a comparison, never
-/// correctness).
-#[derive(Debug)]
-struct CacheEntry {
-    fingerprint: u64,
-    cfg: CpuConfig,
-    hier_cfg: HierarchyConfig,
-    warmup: Option<(Program, usize)>,
-    snap: Snapshot,
-    /// Logical access time for LRU eviction.
-    stamp: u64,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    entries: Vec<CacheEntry>,
-    clock: u64,
-}
+/// The exact key a [`SnapshotCache`] slot is built from.
+type CacheKey = (CpuConfig, HierarchyConfig, Option<(Program, usize)>);
 
 /// A process-wide cache of warm [`Snapshot`]s, keyed by *(core config,
 /// hierarchy config, warmup program × run count)*.
@@ -230,49 +212,41 @@ struct CacheInner {
 /// pipeline rests on.
 ///
 /// Keying is exact: a lookup matches only when the configs and the warmup
-/// program compare equal (`Eq`), with an FNV-64 fingerprint of the key as
-/// a cheap pre-filter. Distinct configurations therefore *never* share an
-/// entry, no matter how similar. The cache is bounded ([`Self::new`]'s
-/// `cap`) with least-recently-used eviction, and exposes hit/miss
-/// counters. Misses build the machine while holding the cache lock, so
-/// concurrent [`batch::par_map`](crate::batch::par_map) workers racing
-/// for one key block briefly and then all hit the single built entry —
-/// "warm exactly once per process" holds under parallelism too. A build
-/// that panics (an invalid [`CpuConfig`], say) adds no entry and does not
-/// disable the cache: later lookups recover the poisoned lock.
+/// program compare equal (`Eq`), so distinct configurations *never* share
+/// a snapshot, no matter how similar. Each key owns one slot. The lock is
+/// held only to find or insert that slot; the build runs in the slot's
+/// [`OnceLock`] with no lock held. Concurrent
+/// [`batch::par_map`](crate::batch::par_map) workers racing for one key
+/// wait on its slot and then all hit the single built snapshot — "warm
+/// exactly once per process" holds under parallelism too — while lookups
+/// of other keys never wait behind a warmup. A build that panics (an
+/// invalid [`CpuConfig`], say) leaves its slot empty, and the next lookup
+/// of that key builds again. Nothing is evicted: the whole scenario suite
+/// builds about a dozen keys.
 ///
 /// [`SnapshotCache::global`] is the shared instance the experiment
 /// pipeline uses; independent instances can be built for tests.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SnapshotCache {
-    cap: usize,
-    inner: Mutex<CacheInner>,
+    slots: Mutex<Vec<(CacheKey, Arc<OnceLock<Snapshot>>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl SnapshotCache {
-    /// An empty cache holding at most `cap` snapshots (LRU-evicted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "snapshot cache capacity must be non-zero");
+    /// An empty cache.
+    pub const fn new() -> Self {
         SnapshotCache {
-            cap,
-            inner: Mutex::new(CacheInner::default()),
+            slots: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// The process-wide cache instance. Sized generously (64 entries):
-    /// the whole scenario suite uses about a dozen distinct
-    /// configurations, so in practice nothing is ever evicted.
+    /// The process-wide cache instance.
     pub fn global() -> &'static SnapshotCache {
-        static GLOBAL: OnceLock<SnapshotCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| SnapshotCache::new(64))
+        static GLOBAL: SnapshotCache = SnapshotCache::new();
+        &GLOBAL
     }
 
     /// A snapshot of a cold machine under `(cfg, hier_cfg)` — cached
@@ -289,7 +263,8 @@ impl SnapshotCache {
     /// A snapshot of a machine under `(cfg, hier_cfg)` warmed by running
     /// `warmup`'s program the given number of times on the event-driven
     /// backend (`None` ⇒ cold). Forks are bit-identical to constructing
-    /// and warming a fresh machine the same way.
+    /// and warming a fresh machine the same way. The caller that builds
+    /// counts a miss; every other caller of the key counts a hit.
     ///
     /// # Panics
     ///
@@ -300,56 +275,49 @@ impl SnapshotCache {
         hier_cfg: HierarchyConfig,
         warmup: Option<(&Program, usize)>,
     ) -> Snapshot {
-        let fp = fingerprint(&cfg, &hier_cfg, warmup);
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some(entry) = inner.entries.iter_mut().find(|e| {
-            e.fingerprint == fp
-                && e.cfg == cfg
-                && e.hier_cfg == hier_cfg
-                && e.warmup.as_ref().map(|(p, runs)| (p, *runs)) == warmup
-        }) {
-            entry.stamp = stamp;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return entry.snap.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Build under the lock: racing callers for the same key block
-        // here and then hit, so each configuration warms exactly once.
-        let mut cpu = Cpu::new(cfg, hier_cfg);
-        if let Some((prog, runs)) = warmup {
-            for _ in 0..runs {
-                cpu.run_one(prog, Backend::EventDriven);
+        let slot = self.slot(cfg, hier_cfg, warmup);
+        let mut built = false;
+        let snap = slot.get_or_init(|| {
+            built = true;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let mut cpu = Cpu::new(cfg, hier_cfg);
+            if let Some((prog, runs)) = warmup {
+                for _ in 0..runs {
+                    cpu.run_one(prog, Backend::EventDriven);
+                }
             }
-        }
-        let snap = cpu.snapshot();
-        if inner.entries.len() >= self.cap {
-            let lru = inner
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("cap > 0 ⇒ non-empty at eviction");
-            inner.entries.swap_remove(lru);
-        }
-        inner.entries.push(CacheEntry {
-            fingerprint: fp,
-            cfg,
-            hier_cfg,
-            warmup: warmup.map(|(p, runs)| (p.clone(), runs)),
-            snap: snap.clone(),
-            stamp,
+            cpu.snapshot()
         });
-        snap
+        if !built {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        snap.clone()
     }
 
-    /// The entry list, recovered if a panicking build poisoned the lock.
-    /// Sound because entries are pushed only after a successful build: a
-    /// build that panics leaves the list exactly as it found it.
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The key's slot, inserted empty on first sight.
+    fn slot(
+        &self,
+        cfg: CpuConfig,
+        hier_cfg: HierarchyConfig,
+        warmup: Option<(&Program, usize)>,
+    ) -> Arc<OnceLock<Snapshot>> {
+        let mut slots = self.lock();
+        let found = slots.iter().find(|((c, h, w), _)| {
+            *c == cfg && *h == hier_cfg && w.as_ref().map(|(p, runs)| (p, *runs)) == warmup
+        });
+        if let Some((_, slot)) = found {
+            return Arc::clone(slot);
+        }
+        let slot = Arc::default();
+        let key = (cfg, hier_cfg, warmup.map(|(p, runs)| (p.clone(), runs)));
+        slots.push((key, Arc::clone(&slot)));
+        slot
+    }
+
+    /// The slot list, recovered if a panic ever poisoned the lock. Sound
+    /// because the list is only ever searched or pushed to under it.
+    fn lock(&self) -> MutexGuard<'_, Vec<(CacheKey, Arc<OnceLock<Snapshot>>)>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Hit/miss counters since construction.
@@ -360,41 +328,22 @@ impl SnapshotCache {
         }
     }
 
-    /// Number of cached snapshots.
+    /// Number of built snapshots (a slot whose build is in flight or
+    /// panicked does not count).
     pub fn len(&self) -> usize {
-        self.lock().entries.len()
+        self.lock()
+            .iter()
+            .filter(|(_, s)| s.get().is_some())
+            .count()
     }
 
-    /// Whether the cache is empty.
+    /// Whether no snapshot is built.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Drop every cached snapshot (counters are kept).
     pub fn clear(&self) {
-        self.lock().entries.clear();
+        self.lock().clear();
     }
-}
-
-/// FNV-1a over the `Debug` rendering of the cache key — stable within a
-/// process (all the cache needs), allocation-free via `fmt::Write`.
-fn fingerprint(
-    cfg: &CpuConfig,
-    hier_cfg: &HierarchyConfig,
-    warmup: Option<(&Program, usize)>,
-) -> u64 {
-    use std::fmt::Write as _;
-    struct Fnv(u64);
-    impl std::fmt::Write for Fnv {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for &b in s.as_bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let _ = write!(h, "{cfg:?}|{hier_cfg:?}|{warmup:?}");
-    h.0
 }

@@ -9,7 +9,7 @@
 //! both and asserts identical [`RunResult`]s.
 //!
 //! Like the event-driven core, the reference machine is multi-context:
-//! per-thread state lives in [`RefThread`], structural resources (issue
+//! per-thread state lives in `RefThread`, structural resources (issue
 //! bandwidth, FU ports, divider units, MSHRs, the cache hierarchy) are
 //! shared, and the same [`SmtPolicy`](crate::config::SmtPolicy)
 //! implementation orders the per-cycle issue claims — so an SMT

@@ -8,8 +8,9 @@
 //! divergent programs and fork sources, under every countermeasure. These
 //! tests exercise that property on randomized program populations, plus
 //! the fork semantics the sweep drivers rely on: forks are isolated from
-//! the snapshot and from each other, and the snapshot cache keys,
-//! evicts and survives panicking builds correctly.
+//! the snapshot and from each other, and the snapshot cache keys exactly,
+//! builds each key once, never blocks one key behind another's build and
+//! survives panicking builds.
 
 use racer_cpu::engine::fork_and_run;
 use racer_cpu::workloads::{alu_chain, memory_stream};
@@ -320,7 +321,7 @@ fn fork_and_run_mixes_heterogeneous_fork_sources() {
 
 #[test]
 fn snapshot_cache_distinct_configs_never_share() {
-    let cache = SnapshotCache::new(16);
+    let cache = SnapshotCache::new();
     let cfg = CpuConfig::coffee_lake();
     let warmup = alu_chain(100);
     // Four keys differing in exactly one component each.
@@ -349,7 +350,7 @@ fn snapshot_cache_distinct_configs_never_share() {
 
 #[test]
 fn snapshot_cache_hits_return_identical_forks() {
-    let cache = SnapshotCache::new(16);
+    let cache = SnapshotCache::new();
     let cfg = CpuConfig::coffee_lake().with_load_recording();
     let warmup = memory_stream(200);
     let probe = gadget_population(0xCAC4E, 1).remove(0);
@@ -372,37 +373,86 @@ fn snapshot_cache_hits_return_identical_forks() {
 }
 
 #[test]
-fn snapshot_cache_evicts_least_recently_used_at_capacity() {
-    let cache = SnapshotCache::new(2);
-    let cfg = CpuConfig::coffee_lake();
-    let a = HierarchyConfig::coffee_lake();
-    let b = HierarchyConfig::small_plru();
-    let c = HierarchyConfig::coffee_lake_noisy(7);
-    cache.cold(cfg, a); // miss
-    cache.cold(cfg, b); // miss
-    cache.cold(cfg, a); // hit — refreshes a, making b the LRU
-    cache.cold(cfg, c); // miss — evicts b
+fn snapshot_cache_builds_outside_the_lock() {
+    // While one key warms (about a second in a debug build), a lookup of
+    // another key builds and returns without waiting for it.
+    let cache = SnapshotCache::new();
+    let slow_warmup = alu_chain(60_000);
+    std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            cache.warmed(
+                CpuConfig::coffee_lake(),
+                HierarchyConfig::coffee_lake(),
+                Some((&slow_warmup, 1)),
+            )
+        });
+        while cache.counters().misses == 0 {
+            std::thread::yield_now();
+        }
+        cache.cold(CpuConfig::coffee_lake(), HierarchyConfig::small_plru());
+        assert!(
+            !a.is_finished(),
+            "a lookup of another key waited for a warmup"
+        );
+        a.join().expect("the slow build succeeds");
+    });
+    let c = cache.counters();
+    assert_eq!((c.hits, c.misses), (0, 2));
     assert_eq!(cache.len(), 2);
-    cache.cold(cfg, a); // still cached
-    let before = cache.counters();
-    cache.cold(cfg, b); // evicted: must rebuild
-    let after = cache.counters();
-    assert_eq!(after.hits, before.hits);
-    assert_eq!(after.misses, before.misses + 1);
+}
+
+#[test]
+fn snapshot_cache_racing_lookups_build_once() {
+    let cache = SnapshotCache::new();
+    let warmup = alu_chain(2_000);
+    let barrier = std::sync::Barrier::new(4);
+    let snaps: Vec<Snapshot> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    cache.warmed(
+                        CpuConfig::coffee_lake(),
+                        HierarchyConfig::small_plru(),
+                        Some((&warmup, 2)),
+                    )
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let c = cache.counters();
+    assert_eq!((c.hits, c.misses), (3, 1), "one build, three waiters hit");
+    assert_eq!(cache.len(), 1);
+    let probe = alu_chain(50);
+    let want = snaps[0].fork().run_one(&probe, Backend::EventDriven);
+    for snap in &snaps[1..] {
+        let got = snap.fork().run_one(&probe, Backend::EventDriven);
+        assert_bit_identical("racing lookups", &got, &want);
+    }
 }
 
 #[test]
 fn snapshot_cache_recovers_after_a_panicking_build() {
-    let cache = SnapshotCache::new(4);
+    let cache = SnapshotCache::new();
     let invalid = CpuConfig {
         rob_size: 0,
         ..CpuConfig::coffee_lake()
     };
     let build = std::panic::catch_unwind(|| cache.cold(invalid, HierarchyConfig::coffee_lake()));
     assert!(build.is_err(), "an invalid config must fail its build");
-    assert!(cache.is_empty(), "a failed build adds no entry");
+    assert!(cache.is_empty(), "a failed build adds no snapshot");
+    assert_eq!(
+        cache.counters().misses,
+        1,
+        "the failed build counts its miss"
+    );
+    // The key's slot stayed empty: the next lookup builds (and fails) again.
+    let retry = std::panic::catch_unwind(|| cache.cold(invalid, HierarchyConfig::coffee_lake()));
+    assert!(retry.is_err());
+    assert_eq!(cache.counters().misses, 2, "a failed build is never a hit");
 
-    // The panic unwound through the cache lock; later lookups still work.
+    // The panic left the cache usable; later lookups still work.
     let before = cache.counters();
     let snap = cache.cold(CpuConfig::coffee_lake(), HierarchyConfig::coffee_lake());
     let after = cache.counters();
@@ -412,6 +462,7 @@ fn snapshot_cache_recovers_after_a_panicking_build() {
     assert_eq!(snap.config(), &CpuConfig::coffee_lake());
     cache.clear();
     assert!(cache.is_empty());
+    assert_eq!(cache.counters(), after, "clearing keeps the counters");
 }
 
 #[test]

@@ -223,6 +223,11 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
                 flags.opts.timeout_secs = Some(secs);
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
+            // Two copies of one scenario would race on its output and
+            // journal files.
+            name if flags.names.iter().any(|n| n == name) => {
+                return Err(format!("scenario {name:?} is named twice"))
+            }
             name => flags.names.push(name.to_string()),
         }
     }
@@ -546,6 +551,12 @@ mod tests {
         );
         assert!(parse_run_flags(&["--set".to_string(), "novalue".to_string()]).is_err());
         assert!(parse_run_flags(&["--bogus".to_string()]).is_err());
+        let twice = ["table_par_seq", "--quick", "table_par_seq"].map(String::from);
+        assert_eq!(
+            parse_run_flags(&twice).err(),
+            Some("scenario \"table_par_seq\" is named twice".to_string()),
+            "copies of one scenario would race on its files"
+        );
         for dead in ["--baseline", "--tolerance"] {
             let args = [dead.to_string(), "1".to_string()];
             assert_eq!(

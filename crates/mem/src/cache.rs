@@ -7,7 +7,7 @@
 //! `Box<dyn ReplacementPolicy>` virtual dispatch, and a single tag scan per
 //! access via [`Cache::lookup`] whose result the hit path reuses.
 //!
-//! Each chunk covers [`SETS_PER_CHUNK`] consecutive sets and sits behind an
+//! Each chunk covers `SETS_PER_CHUNK` consecutive sets and sits behind an
 //! [`Arc`]: cloning a `Cache` copies chunk *pointers* only, and a clone
 //! materialises a private copy of a chunk the first time it mutates a set
 //! inside it (`Arc::make_mut`). Forks of one warmed snapshot therefore
