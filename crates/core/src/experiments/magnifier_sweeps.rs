@@ -66,33 +66,48 @@ impl SweepSeries {
 ///   re-seeding the misalignment);
 /// * `random-no-prefetch` — the §6.3.1 cap: bounded by the set count.
 pub fn figure11(repeat_points: &[usize], delay: usize) -> Vec<SweepSeries> {
+    const SERIES: [(ReplacementKind, usize, &str); 3] = [
+        (ReplacementKind::Fifo, 22, "fifo-with-prefetch"),
+        (ReplacementKind::Random, 22, "random-with-prefetch"),
+        (ReplacementKind::Random, 0, "random-no-prefetch"),
+    ];
     // Each point runs on a fresh machine, so the sweep parallelizes across
     // host cores with bit-identical results (see `racer_cpu::batch`).
     // Deliberately *not* snapshot-cached: every point's hierarchy has a
     // distinct replacement seed (`0x5EED + repeats`), so no two points
-    // could ever share a cache entry.
-    let run = |kind: ReplacementKind, prefetch: usize, label: &str| {
-        let points = racer_cpu::batch::par_map(repeat_points, |&repeats| {
-            let mut mag = ArbitraryReplacementMagnifier::new(Layout::default());
-            mag.repeats = repeats;
-            mag.prefetch_dist = prefetch;
-            let mut m = figure11_machine(kind, 0x5EED + repeats as u64);
-            let amp = mag.amplification(&mut m, delay).max(0);
-            SweepPoint {
-                repeats,
-                diff_us: amp as f64 * 0.5 / 1000.0,
-            }
-        });
-        SweepSeries {
+    // could ever share a cache entry. All three series share one pool,
+    // largest repeat count first, so the longest lanes never start last;
+    // the points go back to their series by index.
+    let mut lanes: Vec<(usize, usize)> = (0..SERIES.len())
+        .flat_map(|s| (0..repeat_points.len()).map(move |i| (s, i)))
+        .collect();
+    lanes.sort_by_key(|&(_, i)| std::cmp::Reverse(repeat_points[i]));
+    let diffs = racer_cpu::batch::par_map(&lanes, |&(s, i)| {
+        let (kind, prefetch, _) = SERIES[s];
+        let repeats = repeat_points[i];
+        let mut mag = ArbitraryReplacementMagnifier::new(Layout::default());
+        mag.repeats = repeats;
+        mag.prefetch_dist = prefetch;
+        let mut m = figure11_machine(kind, 0x5EED + repeats as u64);
+        mag.amplification(&mut m, delay).max(0) as f64 * 0.5 / 1000.0
+    });
+    let mut series: Vec<SweepSeries> = SERIES
+        .iter()
+        .map(|&(_, _, label)| SweepSeries {
             label: label.to_string(),
-            points,
-        }
-    };
-    vec![
-        run(ReplacementKind::Fifo, 22, "fifo-with-prefetch"),
-        run(ReplacementKind::Random, 22, "random-with-prefetch"),
-        run(ReplacementKind::Random, 0, "random-no-prefetch"),
-    ]
+            points: repeat_points
+                .iter()
+                .map(|&repeats| SweepPoint {
+                    repeats,
+                    diff_us: 0.0,
+                })
+                .collect(),
+        })
+        .collect();
+    for (&(s, i), diff_us) in lanes.iter().zip(diffs) {
+        series[s].points[i].diff_us = diff_us;
+    }
+    series
 }
 
 /// A Figure 11 machine: a 64-set, 8-way L1 under `kind` replacement drawn

@@ -1,11 +1,18 @@
 //! Scoring a candidate gadget: resolution, monotonicity, stealth.
 //!
-//! One candidate costs `targets.len()` traced runs, fanned through a
-//! single [`fork_and_run`] call on a warmed snapshot. Because the
-//! run is traced, the timer reading at each target falls out of *one*
-//! run — the number of clock ops whose completion cycle is ≤ the measured
-//! tail's — with no binary search and no repeat trials (the simulator is
-//! deterministic).
+//! Scoring is split in two. [`measure`] simulates: it runs the
+//! candidate's `targets.len()` lowered programs, traced, through one
+//! [`fork_and_run`] call on a warmed snapshot, reading each run as it
+//! finishes and stopping at the first run that fails. Because each run is
+//! traced, the timer reading at a target falls out of *one* run — the
+//! number of clock ops whose completion cycle is ≤ the measured tail's —
+//! with no binary search and no repeat trials (the simulator is
+//! deterministic). The result is a small [`Measurement`]: one
+//! `(reading, duration)` pair per target plus the two detector verdicts.
+//! [`score`] is pure arithmetic on that, and [`evaluate`] is
+//! `score(measure(..))`. A search keeps each distinct template's
+//! measurement and re-scores it when the template is bred again, so a
+//! repeated candidate costs no simulation and scores bit-identically.
 //!
 //! The three terms mirror what the repo already measures elsewhere:
 //!
@@ -153,11 +160,18 @@ impl Fitness {
 /// classifiers: starts at 1.0 and strictly decreases by 0.4 for each
 /// detector that flags the run.
 pub fn stealth_term(profile: &CounterProfile) -> f64 {
+    stealth_of(
+        l1_miss_detector(profile, L1_THRESHOLD_MPKI),
+        backend_bound_detector(profile),
+    )
+}
+
+fn stealth_of(l1_flagged: bool, backend_flagged: bool) -> f64 {
     let mut s = 1.0;
-    if l1_miss_detector(profile, L1_THRESHOLD_MPKI) {
+    if l1_flagged {
         s -= 0.4;
     }
-    if backend_bound_detector(profile) {
+    if backend_flagged {
         s -= 0.4;
     }
     s
@@ -193,39 +207,81 @@ fn completion_by_pc(r: &RunResult, prog_len: usize) -> Vec<Option<u64>> {
     by_pc
 }
 
-/// Score `tpl` under `cfg`, running its lowered target ladder on forks
-/// of `snap` through one [`fork_and_run`] (`snap` must have been built by
-/// [`FitnessConfig::snapshot`] for the same config).
-pub fn evaluate(tpl: &GadgetTemplate, cfg: &FitnessConfig, snap: &Snapshot) -> Fitness {
+/// What simulating one candidate yields: everything [`score`] reads.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Measurement {
+    /// `(reading, duration)` per target, in ladder order (see
+    /// [`FitnessPoint`]).
+    pub readings: Box<[(u64, u64)]>,
+    /// The L1-miss detector's verdict on the longest target.
+    pub l1_flagged: bool,
+    /// The backend-bound detector's verdict on the longest target.
+    pub backend_flagged: bool,
+}
+
+/// Run `tpl`'s lowered target ladder on forks of `snap` through one
+/// [`fork_and_run`] (`snap` must have been built by
+/// [`FitnessConfig::snapshot`] for the same config). `None` when a run
+/// did not finish cleanly or never completed its measured tail; the
+/// targets after it are not run.
+///
+/// # Panics
+///
+/// Panics if `cfg.targets` is empty.
+pub fn measure(tpl: &GadgetTemplate, cfg: &FitnessConfig, snap: &Snapshot) -> Option<Measurement> {
     let lowered: Vec<_> = cfg
         .targets
         .iter()
         .map(|&t| tpl.lower(t, cfg.clock_len))
         .collect();
+    // Read each run as it finishes, so one trace is alive at a time.
     let runs = fork_and_run(lowered.iter().map(|l| (snap, &l.prog)));
-    if runs
-        .iter()
-        .any(|r| !r.halted || r.limit_hit || r.cycles > cfg.cycle_budget)
-    {
-        return Fitness::invalid();
-    }
-    let mut points = Vec::with_capacity(lowered.len());
-    for ((l, r), &target) in lowered.iter().zip(&runs).zip(&cfg.targets) {
-        let by_pc = completion_by_pc(r, l.prog.len());
-        let Some(measured_done) = by_pc[l.measured_tail_pc] else {
-            return Fitness::invalid();
-        };
+    let mut readings = Vec::with_capacity(lowered.len());
+    let mut flags = None;
+    for (l, r) in lowered.iter().zip(runs) {
+        if !r.halted || r.limit_hit || r.cycles > cfg.cycle_budget {
+            return None;
+        }
+        let by_pc = completion_by_pc(&r, l.prog.len());
+        let measured_done = by_pc[l.measured_tail_pc]?;
         let reading = l
             .clock_pcs
             .iter()
             .filter(|&&pc| by_pc[pc].is_some_and(|c| c <= measured_done))
             .count() as u64;
-        points.push(FitnessPoint {
+        readings.push((reading, measured_done));
+        // Stealth is judged on the longest (last) target: the program a
+        // detector would actually watch the attacker run.
+        let profile = CounterProfile::from_run("candidate", &r);
+        flags = Some((
+            l1_miss_detector(&profile, L1_THRESHOLD_MPKI),
+            backend_bound_detector(&profile),
+        ));
+    }
+    let (l1_flagged, backend_flagged) = flags.expect("non-empty ladder");
+    Some(Measurement {
+        readings: readings.into_boxed_slice(),
+        l1_flagged,
+        backend_flagged,
+    })
+}
+
+/// The [`Fitness`] of a measurement taken over the ladder `targets`
+/// ([`Fitness::invalid`] for `None`). Pure: the same measurement always
+/// scores bit-identically.
+pub fn score(targets: &[usize], m: Option<&Measurement>) -> Fitness {
+    let Some(m) = m else {
+        return Fitness::invalid();
+    };
+    let points: Vec<FitnessPoint> = targets
+        .iter()
+        .zip(&*m.readings)
+        .map(|(&target, &(reading, duration))| FitnessPoint {
             target,
             reading,
-            duration: measured_done,
-        });
-    }
+            duration,
+        })
+        .collect();
     let xy: Vec<(f64, f64)> = points
         .iter()
         .map(|p| (p.reading as f64, p.duration as f64))
@@ -244,19 +300,13 @@ pub fn evaluate(tpl: &GadgetTemplate, cfg: &FitnessConfig, snap: &Snapshot) -> F
     } else {
         errors as f64 / pairs as f64
     };
-    // Stealth is judged on the longest target: the program a detector
-    // would actually watch the attacker run.
-    let profile = CounterProfile::from_run("candidate", runs.last().expect("non-empty ladder"));
-    let l1_flagged = l1_miss_detector(&profile, L1_THRESHOLD_MPKI);
-    let backend_flagged = backend_bound_detector(&profile);
-    let stealth = stealth_term(&profile);
     let mut fitness = Fitness {
         valid: true,
         resolution_cycles_per_tick: resolution,
         monotonicity_error_rate,
-        l1_flagged,
-        backend_flagged,
-        stealth,
+        l1_flagged: m.l1_flagged,
+        backend_flagged: m.backend_flagged,
+        stealth: stealth_of(m.l1_flagged, m.backend_flagged),
         score: 0.0,
         points,
     };
@@ -264,15 +314,128 @@ pub fn evaluate(tpl: &GadgetTemplate, cfg: &FitnessConfig, snap: &Snapshot) -> F
     fitness
 }
 
+/// Score `tpl` under `cfg`: [`score`] of [`measure`].
+pub fn evaluate(tpl: &GadgetTemplate, cfg: &FitnessConfig, snap: &Snapshot) -> Fitness {
+    score(&cfg.targets, measure(tpl, cfg, snap).as_ref())
+}
+
+#[cfg(test)]
+impl Fitness {
+    /// Every field with floats as raw bits: equal keys mean bit-identical
+    /// fitnesses.
+    pub(crate) fn bits(&self) -> (bool, [u64; 4], bool, bool, Vec<FitnessPoint>) {
+        let floats = [
+            self.resolution_cycles_per_tick,
+            self.monotonicity_error_rate,
+            self.stealth,
+            self.score,
+        ];
+        (
+            self.valid,
+            floats.map(f64::to_bits),
+            self.l1_flagged,
+            self.backend_flagged,
+            self.points.clone(),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gadget_search::shipped::{fenced_dud, hand_written_baseline};
+    use crate::gadget_search::shipped::{fenced_dud, hand_written_baseline, shipped_gadgets};
+    use racer_rng::SplitMix64;
 
     fn eval(tpl: &GadgetTemplate) -> Fitness {
         let cfg = FitnessConfig::default();
         let snap = cfg.snapshot();
         evaluate(tpl, &cfg, &snap)
+    }
+
+    /// `evaluate` as one function, before it was split into `measure`
+    /// and `score`: the oracle the split is checked against.
+    fn evaluate_unsplit(tpl: &GadgetTemplate, cfg: &FitnessConfig, snap: &Snapshot) -> Fitness {
+        let lowered: Vec<_> = cfg
+            .targets
+            .iter()
+            .map(|&t| tpl.lower(t, cfg.clock_len))
+            .collect();
+        let runs: Vec<_> = fork_and_run(lowered.iter().map(|l| (snap, &l.prog))).collect();
+        if runs
+            .iter()
+            .any(|r| !r.halted || r.limit_hit || r.cycles > cfg.cycle_budget)
+        {
+            return Fitness::invalid();
+        }
+        let mut points = Vec::with_capacity(lowered.len());
+        for ((l, r), &target) in lowered.iter().zip(&runs).zip(&cfg.targets) {
+            let by_pc = completion_by_pc(r, l.prog.len());
+            let Some(measured_done) = by_pc[l.measured_tail_pc] else {
+                return Fitness::invalid();
+            };
+            let reading = l
+                .clock_pcs
+                .iter()
+                .filter(|&&pc| by_pc[pc].is_some_and(|c| c <= measured_done))
+                .count() as u64;
+            points.push(FitnessPoint {
+                target,
+                reading,
+                duration: measured_done,
+            });
+        }
+        let xy: Vec<(f64, f64)> = points
+            .iter()
+            .map(|p| (p.reading as f64, p.duration as f64))
+            .collect();
+        let resolution = match ls_slope(&xy) {
+            Some(s) if s > 0.0 => s,
+            _ => 0.0,
+        };
+        let pairs = points.len().saturating_sub(1);
+        let errors = points
+            .windows(2)
+            .filter(|w| w[1].reading <= w[0].reading)
+            .count();
+        let monotonicity_error_rate = if pairs == 0 {
+            0.0
+        } else {
+            errors as f64 / pairs as f64
+        };
+        let profile = CounterProfile::from_run("candidate", runs.last().unwrap());
+        let mut fitness = Fitness {
+            valid: true,
+            resolution_cycles_per_tick: resolution,
+            monotonicity_error_rate,
+            l1_flagged: l1_miss_detector(&profile, L1_THRESHOLD_MPKI),
+            backend_flagged: backend_bound_detector(&profile),
+            stealth: stealth_term(&profile),
+            score: 0.0,
+            points,
+        };
+        fitness.score = fitness.resolution_term() + fitness.monotonicity_term() + fitness.stealth;
+        fitness
+    }
+
+    #[test]
+    fn score_of_measure_is_the_unsplit_evaluation_bit_for_bit() {
+        let cfg = FitnessConfig::default();
+        let snap = cfg.snapshot();
+        let mut rng = SplitMix64::new(0x5C0E);
+        let shipped = shipped_gadgets().into_iter().map(|g| g.template);
+        let sampled: Vec<GadgetTemplate> =
+            (0..200).map(|_| GadgetTemplate::sample(&mut rng)).collect();
+        let mut invalid = 0;
+        for tpl in shipped
+            .chain([hand_written_baseline(), fenced_dud()])
+            .chain(sampled)
+        {
+            let split = score(&cfg.targets, measure(&tpl, &cfg, &snap).as_ref());
+            let unsplit = evaluate_unsplit(&tpl, &cfg, &snap);
+            assert_eq!(split.bits(), unsplit.bits(), "{tpl:?}");
+            invalid += usize::from(!split.valid);
+        }
+        assert!(invalid < 200, "the sample must exercise valid scores");
     }
 
     #[test]

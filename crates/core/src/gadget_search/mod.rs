@@ -20,7 +20,9 @@
 //!   [`fork_and_run`](racer_cpu::engine::fork_and_run) call on a warmed
 //!   snapshot. One traced run per target yields the timer reading
 //!   directly (clock ops completed before the measured tail), so a
-//!   candidate costs a handful of runs, not a binary search. Terms:
+//!   candidate costs a handful of runs, not a binary search; `measure`
+//!   does the runs and the pure `score` turns their result into a
+//!   [`Fitness`]. Terms:
 //!   resolution (cycles per clock tick, least-squares), monotonicity of
 //!   reading vs. target, and stealth against the `detection_eval`
 //!   hardware-counter classifiers.
@@ -28,8 +30,10 @@
 //!   are bred from a novelty archive keyed by a behaviour descriptor
 //!   (resolution bucket × FU-pressure signature), evaluated in parallel
 //!   with worker-count-independent ordering
-//!   ([`racer_cpu::batch::par_map_workers`]), and checkpointed once per
-//!   generation so long searches survive kills and resume byte-for-byte.
+//!   ([`racer_cpu::batch::par_map_workers`]) — each distinct template is
+//!   simulated once per search and re-scored when bred again — and
+//!   checkpointed once per generation so long searches survive kills and
+//!   resume byte-for-byte.
 //! * [`shipped`] — the hand-written paper-racer baseline plus the top
 //!   gadgets discovered by the committed search run, each carrying full
 //!   provenance (template, seed, generation, fitness) and pinned by
@@ -44,7 +48,10 @@ pub mod search;
 pub mod shipped;
 pub mod template;
 
-pub use fitness::{eval_cpu_config, evaluate, stealth_term, Fitness, FitnessConfig, FitnessPoint};
+pub use fitness::{
+    eval_cpu_config, evaluate, measure, score, stealth_term, Fitness, FitnessConfig, FitnessPoint,
+    Measurement,
+};
 pub use racer_rng::SplitMix64;
 pub use search::{run_search, Candidate, Cell, GenerationLog, SearchConfig, SearchState};
 pub use shipped::{

@@ -12,15 +12,24 @@
 //! updates replay in candidate order. Nothing observes wall-clock or
 //! thread identity.
 //!
+//! Evaluation is memoised per distinct template: the state keeps each
+//! simulated template's [`Measurement`] and a generation simulates only
+//! the templates it has not seen, so a re-bred template is re-scored by
+//! [`score`] without running its ladder. A memoised score is the fresh
+//! one bit for bit ([`evaluate`](super::fitness::evaluate) is
+//! `score(measure(..))`), so the memo changes only the wall clock. It is
+//! not part of the state's equality or serialization; a resumed state
+//! refills it as it goes.
+//!
 //! The whole state serializes to a [`Value`] and back bit-exactly
 //! (floats survive via shortest-roundtrip formatting; the rng word as a
 //! hex string since `Value::Int` is `i64`), which is what makes
 //! per-generation checkpoint/resume converge byte-for-byte with an
 //! uninterrupted run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use super::fitness::{evaluate, Fitness, FitnessConfig, FitnessPoint};
+use super::fitness::{measure, score, Fitness, FitnessConfig, FitnessPoint, Measurement};
 use super::template::{ArmLayout, ChainOp, GadgetTemplate};
 use racer_cpu::batch::{max_threads, par_map_workers};
 use racer_cpu::engine::Snapshot;
@@ -101,7 +110,7 @@ pub struct GenerationLog {
 }
 
 /// The complete, serializable search state.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct SearchState {
     /// The one sampling rng (breeding draws only; evaluation is
     /// deterministic and draws nothing).
@@ -116,6 +125,43 @@ pub struct SearchState {
     pub archive: BTreeMap<Cell, Candidate>,
     /// One entry per completed generation.
     pub log: Vec<GenerationLog>,
+    /// Measurements of the templates simulated so far.
+    memo: Memo,
+}
+
+/// Equality is over the serialized state; the memo only caches what
+/// [`measure`] would recompute.
+impl PartialEq for SearchState {
+    fn eq(&self, other: &SearchState) -> bool {
+        self.rng == other.rng
+            && self.generation == other.generation
+            && self.next_id == other.next_id
+            && self.archive == other.archive
+            && self.log == other.log
+    }
+}
+
+/// Each simulated template's measurement under one fitness config.
+#[derive(Clone, Default)]
+struct Memo {
+    /// The config the measurements were taken under.
+    fitness: Option<FitnessConfig>,
+    /// A `BTreeMap`, not a `HashMap`: over repeated paper-preset
+    /// searches in one process the hash table's doubling reallocations
+    /// left peak RSS about 1.7 MiB higher than the tree's small nodes.
+    measured: BTreeMap<GadgetTemplate, Option<Measurement>>,
+    /// Templates simulated, one per memo miss: what a lost memo would
+    /// show (pinned by the tests).
+    simulated: u64,
+}
+
+impl std::fmt::Debug for Memo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Memo")
+            .field("templates", &self.measured.len())
+            .field("simulated", &self.simulated)
+            .finish()
+    }
 }
 
 impl SearchState {
@@ -127,6 +173,7 @@ impl SearchState {
             next_id: 0,
             archive: BTreeMap::new(),
             log: Vec::new(),
+            memo: Memo::default(),
         }
     }
 
@@ -143,8 +190,9 @@ impl SearchState {
 
     /// Run one generation: breed `population` candidates (3:1
     /// mutation-of-an-archived-parent vs. fresh sample once the archive
-    /// is non-empty), evaluate them in parallel, fold them into the
-    /// archive in candidate order, and append the generation log.
+    /// is non-empty), simulate the ones not seen before in parallel,
+    /// score every candidate, fold them into the archive in candidate
+    /// order, and append the generation log.
     pub fn step(&mut self, cfg: &SearchConfig, snap: &Snapshot) {
         let parent_cells: Vec<Cell> = self.archive.keys().copied().collect();
         let mut templates = Vec::with_capacity(cfg.population);
@@ -162,9 +210,25 @@ impl SearchState {
         } else {
             cfg.workers
         };
-        let scores = par_map_workers(&templates, workers, |tpl| evaluate(tpl, &cfg.fitness, snap));
+        let memo = &mut self.memo;
+        if memo.fitness.as_ref() != Some(&cfg.fitness) {
+            memo.fitness = Some(cfg.fitness.clone());
+            memo.measured.clear();
+        }
+        // Simulate each template the memo lacks once, in first-occurrence
+        // order.
+        let mut seen = BTreeSet::new();
+        let fresh: Vec<GadgetTemplate> = templates
+            .iter()
+            .filter(|t| !memo.measured.contains_key(t) && seen.insert(**t))
+            .copied()
+            .collect();
+        let measured = par_map_workers(&fresh, workers, |tpl| measure(tpl, &cfg.fitness, snap));
+        memo.simulated += fresh.len() as u64;
+        memo.measured.extend(fresh.into_iter().zip(measured));
         let (mut invalid, mut new_cells, mut improved) = (0u32, 0u32, 0u32);
-        for (template, fitness) in templates.into_iter().zip(scores) {
+        for template in templates {
+            let fitness = score(&cfg.fitness.targets, self.memo.measured[&template].as_ref());
             let id = self.next_id;
             self.next_id += 1;
             if !fitness.valid {
@@ -245,6 +309,7 @@ impl SearchState {
             next_id,
             archive,
             log,
+            memo: Memo::default(),
         })
     }
 }
@@ -393,6 +458,7 @@ fn log_from_value(v: &Value) -> Option<GenerationLog> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gadget_search::fitness::evaluate;
 
     fn tiny_config(seed: u64) -> SearchConfig {
         SearchConfig {
@@ -445,6 +511,68 @@ mod tests {
             stepped.step(&cfg, &snap);
         }
         assert_eq!(stepped, whole);
+    }
+
+    /// A search small enough for a debug build that still breeds
+    /// repeats: mutation of a few archived parents keeps re-deriving
+    /// templates the memo has seen.
+    fn repeating_config() -> SearchConfig {
+        SearchConfig {
+            population: 48,
+            generations: 4,
+            ..tiny_config(5)
+        }
+    }
+
+    #[test]
+    fn every_archived_candidate_scores_as_a_fresh_evaluation() {
+        let cfg = repeating_config();
+        let state = run_search(&cfg);
+        let snap = cfg.fitness.snapshot();
+        for c in state.archive.values() {
+            let fresh = evaluate(&c.template, &cfg.fitness, &snap);
+            assert_eq!(c.fitness.bits(), fresh.bits(), "candidate {}", c.id);
+        }
+    }
+
+    #[test]
+    fn each_distinct_template_is_simulated_once() {
+        let cfg = repeating_config();
+        let state = run_search(&cfg);
+        let bred = u64::from(cfg.generations) * cfg.population as u64;
+        assert_eq!(state.next_id, bred);
+        // Pinned: a search that re-simulates repeats (a lost memo) counts
+        // every bred candidate here.
+        assert_eq!(state.memo.simulated, 156, "of {bred} bred");
+        assert_eq!(state.memo.measured.len(), 156);
+        // The memo is outside equality and serialization.
+        let back = SearchState::from_value(&state.to_value()).unwrap();
+        assert_eq!(back, state);
+        assert!(back.memo.measured.is_empty());
+    }
+
+    #[test]
+    fn a_changed_fitness_config_starts_a_fresh_memo() {
+        let first = tiny_config(4);
+        let mut second = first.clone();
+        second.fitness.targets = vec![1, 3];
+        // Only the ladder differs, so both configs share one snapshot.
+        let snap = first.fitness.snapshot();
+        let mut state = SearchState::new(first.seed);
+        state.step(&first, &snap);
+        state.step(&second, &snap);
+        state.step(&second, &snap);
+        assert_eq!(state.memo.fitness.as_ref(), Some(&second.fitness));
+        assert!(state
+            .memo
+            .measured
+            .values()
+            .flatten()
+            .all(|m| m.readings.len() == 2));
+        for c in state.archive.values().filter(|c| c.generation > 0) {
+            let fresh = evaluate(&c.template, &second.fitness, &snap);
+            assert_eq!(c.fitness.bits(), fresh.bits(), "candidate {}", c.id);
+        }
     }
 
     #[test]

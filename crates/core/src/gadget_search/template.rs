@@ -24,7 +24,7 @@ use racer_rng::SplitMix64;
 /// Serial-chain operation: the FU the chain occupies and its per-op
 /// latency class (ADD 1 cycle, MUL 3 cycles pipelined, DIV non-pipelined
 /// double-digit — the paper's measured/clock building blocks).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ChainOp {
     /// 1-cycle ALU add: the paper's clock chain.
     Add,
@@ -71,7 +71,7 @@ impl ChainOp {
 }
 
 /// Program-order layout of the two race arms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ArmLayout {
     /// Clock ops interleaved proportionally between measured ops — the
     /// paper's shape: both chains feed the front end from cycle one.
@@ -111,7 +111,7 @@ const FIELDS: usize = 8;
 /// A point in the racing-gadget grammar. The sampled space is small
 /// enough to enumerate (~9k points) but large enough that a 2k-candidate
 /// search covers it only partially — coverage-guided breeding matters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct GadgetTemplate {
     /// FU of the measured (timed) chain.
     pub measured_op: ChainOp,

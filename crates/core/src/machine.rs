@@ -32,10 +32,8 @@ pub struct Machine {
     /// Simulated nanoseconds accumulated over every program run, used as
     /// the wall clock that coarse timers observe.
     elapsed_ns: f64,
-    /// Instructions committed by every clock-advancing run on this
-    /// machine.
-    committed: u64,
-    /// Body rounds those runs skipped by steady-state fast-forward.
+    /// Body rounds the clock-advancing runs on this machine skipped by
+    /// steady-state fast-forward.
     fast_forwarded: u64,
 }
 
@@ -46,7 +44,6 @@ impl Machine {
             cpu: Cpu::new(cpu_cfg, hier_cfg),
             layout: Layout::default(),
             elapsed_ns: 0.0,
-            committed: 0,
             fast_forwarded: 0,
         }
     }
@@ -168,7 +165,6 @@ impl Machine {
     pub fn run_with(&mut self, prog: &Program, backend: Backend) -> RunResult {
         let r = self.cpu.run_one(prog, backend);
         self.elapsed_ns += self.cpu.config().cycles_to_ns(r.cycles);
-        self.committed += r.committed;
         self.fast_forwarded += r.fast_forwarded;
         r
     }
@@ -189,7 +185,6 @@ impl Machine {
             cpu: snap.fork(),
             layout: Layout::default(),
             elapsed_ns: 0.0,
-            committed: 0,
             fast_forwarded: 0,
         }
     }
@@ -230,7 +225,7 @@ impl Machine {
             .into_iter()
             .map(|(machine, prog)| (machine.snapshot(), prog))
             .collect();
-        fork_and_run(lanes.iter().map(|(snap, prog)| (snap, *prog)))
+        fork_and_run(lanes.iter().map(|(snap, prog)| (snap, *prog))).collect()
     }
 
     /// Run a program and return just its cycle count.
@@ -247,9 +242,8 @@ impl Machine {
     /// Nothing but the duration leaves this method, so the run records
     /// counters only ([`RecordLevel::Counters`], whatever the machine's
     /// configured level): no load events, and a magnifier's repeated
-    /// region fast-forwards through its steady state. Timing, the clock
-    /// and [`Machine::committed_total`] (which counts skipped rounds'
-    /// instructions too) are the same as at any level.
+    /// region fast-forwards through its steady state. Timing and the
+    /// clock are the same as at any level.
     pub fn run_timed(&mut self, prog: &Program, timer: &mut dyn Timer) -> f64 {
         let start = self.elapsed_ns;
         self.run_counters(prog);
@@ -271,19 +265,12 @@ impl Machine {
         self.elapsed_ns
     }
 
-    /// Total instructions committed by clock-advancing runs on this
-    /// machine ([`Machine::run`]/[`Machine::run_with`]/
+    /// Body rounds skipped by steady-state fast-forward
+    /// ([`RunResult::fast_forwarded`], summed) over the clock-advancing
+    /// runs on this machine ([`Machine::run`]/[`Machine::run_with`]/
     /// [`Machine::run_timed`]; [`Machine::batch`]/[`Machine::sweep`] fork
-    /// and leave the machine untouched), including the instructions of
-    /// rounds a timed run fast-forwarded through.
-    pub fn committed_total(&self) -> u64 {
-        self.committed
-    }
-
-    /// Body rounds the same runs skipped by steady-state fast-forward
-    /// ([`RunResult::fast_forwarded`], summed) — the read-only twin of
-    /// [`Machine::committed_total`], which tells whether a driver's timed
-    /// magnifier runs took the fast path.
+    /// and leave the machine untouched). It tells whether a driver's
+    /// timed magnifier runs took the fast path.
     pub fn fast_forwarded_total(&self) -> u64 {
         self.fast_forwarded
     }

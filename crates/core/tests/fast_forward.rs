@@ -20,7 +20,7 @@ use hacky_racers::magnify::{
 use racer_cpu::{CpuConfig, RecordLevel, RunResult};
 use racer_isa::Program;
 use racer_mem::{CacheConfig, HierarchyConfig, ReplacementKind};
-use racer_time::{CoarseTimer, PerfectTimer};
+use racer_time::CoarseTimer;
 
 /// A `timer_mitigations_eval` lane: a fresh noisy machine with the
 /// Figure 3.1 set state, the raced lines warmed in `bit` order.
@@ -142,13 +142,12 @@ fn a_random_replacement_timed_run_never_fast_forwards() {
     m.flush(m.layout().sync);
     let prog = mag.program(&m, 30);
     assert!(prog.region().is_some());
-    m.run_timed(&prog, &mut PerfectTimer);
-    assert!(m.committed_total() as usize >= prog.len() / 2);
-    assert_eq!(
-        m.fast_forwarded_total(),
-        0,
-        "random replacement never settles"
-    );
+    // The run `run_timed` makes: the clock-advancing run at counters only.
+    m.cpu_mut().set_record_level(RecordLevel::Counters);
+    let r = m.run(&prog);
+    assert!(r.committed as usize >= prog.len() / 2);
+    assert_eq!(r.fast_forwarded, 0, "random replacement never settles");
+    assert_eq!(m.fast_forwarded_total(), 0);
 }
 
 #[test]

@@ -1796,7 +1796,7 @@ impl<'a> Pipeline<'a> {
             let trace_idx = if self.cfg.record.trace() {
                 let instr = self.prog.get(pc).expect("fetched pc in range");
                 let fetched_cycle = fetched.ready_cycle.saturating_sub(self.cfg.front_end_depth);
-                let mut rec = crate::trace::TraceRecord::new(seq, pc, instr, fetched_cycle);
+                let mut rec = crate::trace::TraceRecord::new(seq, pc, *instr, fetched_cycle);
                 rec.dispatched = self.cycle;
                 self.s.trace.push(rec);
                 Some((self.s.trace.len() - 1) as u32)

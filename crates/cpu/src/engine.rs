@@ -149,13 +149,18 @@ impl Snapshot {
     /// single-source form of [`fork_and_run`]. Results are bit-identical
     /// to `self.fork().run_one(prog, Backend::EventDriven)` per program.
     pub fn run_many(&self, progs: &[Program]) -> Vec<RunResult> {
-        fork_and_run(progs.iter().map(|p| (self, p)))
+        fork_and_run(progs.iter().map(|p| (self, p))).collect()
     }
 }
 
 /// Run every `(snapshot, program)` lane to completion on its own fork of
-/// the snapshot, one lane after another, and return one [`RunResult`] per
+/// the snapshot, one lane after another, yielding one [`RunResult`] per
 /// lane in input order.
+///
+/// Lanes run lazily: each one runs when the iterator reaches it, so a
+/// caller that reads each result before asking for the next holds one
+/// result at a time (one trace, for a traced config), and one that stops
+/// early runs no further lanes. `.collect()` runs them all.
 ///
 /// Lanes may fork from different snapshots — distinct cache layouts,
 /// jitter seeds, planted secrets, even distinct [`CpuConfig`]s: each lane
@@ -164,26 +169,24 @@ impl Snapshot {
 /// and reused for every lane. Each result is bit-identical to
 /// `snap.fork().run_one(prog, Backend::EventDriven)`; the snapshots are
 /// untouched.
-pub fn fork_and_run<'a, I>(lanes: I) -> Vec<RunResult>
+pub fn fork_and_run<'a, I>(lanes: I) -> impl Iterator<Item = RunResult> + 'a
 where
     I: IntoIterator<Item = (&'a Snapshot, &'a Program)>,
+    I::IntoIter: 'a,
 {
     let mut ctx = ThreadCtx::default();
-    lanes
-        .into_iter()
-        .map(|(snap, prog)| {
-            let src = &snap.inner;
-            ctx.reset(src.cfg.rob_size);
-            core::run_fork(
-                &src.cfg,
-                src.hier.clone(),
-                src.mem.clone(),
-                src.predictor.clone_box(),
-                prog,
-                &mut ctx,
-            )
-        })
-        .collect()
+    lanes.into_iter().map(move |(snap, prog)| {
+        let src = &snap.inner;
+        ctx.reset(src.cfg.rob_size);
+        core::run_fork(
+            &src.cfg,
+            src.hier.clone(),
+            src.mem.clone(),
+            src.predictor.clone_box(),
+            prog,
+            &mut ctx,
+        )
+    })
 }
 
 /// Hit/miss counters for a [`SnapshotCache`], read via

@@ -896,7 +896,7 @@ impl<'a> RefPipeline<'a> {
             let trace_idx = if self.cfg.record.trace() {
                 let fetched_cycle = fetched.ready_cycle.saturating_sub(self.cfg.front_end_depth);
                 let mut rec =
-                    crate::trace::TraceRecord::new(seq, fetched.pc, &fetched.instr, fetched_cycle);
+                    crate::trace::TraceRecord::new(seq, fetched.pc, fetched.instr, fetched_cycle);
                 rec.dispatched = self.cycle;
                 t.trace.push(rec);
                 Some(t.trace.len() - 1)

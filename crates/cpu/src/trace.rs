@@ -7,6 +7,11 @@
 //! [`RecordLevel::Trace`](crate::RecordLevel::Trace) (e.g. via
 //! [`CpuConfig::with_trace`](crate::CpuConfig::with_trace)); rendered
 //! diagrams come from [`render_pipeline`].
+//!
+//! A record keeps the [`Instr`] itself (it is `Copy`), not its
+//! disassembly: most traced runs only read cycle stamps (the gadget
+//! search's fitness, `smt_contention_eval`'s tail completions), so the
+//! text is formatted only when a diagram is rendered.
 
 use racer_isa::Instr;
 
@@ -17,8 +22,8 @@ pub struct TraceRecord {
     pub seq: u64,
     /// Static instruction index.
     pub pc: usize,
-    /// Disassembly of the instruction.
-    pub text: String,
+    /// The instruction (its `Display` is the disassembly).
+    pub instr: Instr,
     /// Cycle the instruction entered the fetch queue.
     pub fetched: u64,
     /// Cycle it was renamed into the ROB.
@@ -32,11 +37,11 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    pub(crate) fn new(seq: u64, pc: usize, instr: &Instr, fetched: u64) -> Self {
+    pub(crate) fn new(seq: u64, pc: usize, instr: Instr, fetched: u64) -> Self {
         TraceRecord {
             seq,
             pc,
-            text: instr.to_string(),
+            instr,
             fetched,
             dispatched: 0,
             issued: None,
@@ -73,7 +78,7 @@ pub fn render_pipeline(records: &[TraceRecord]) -> String {
             col(r.issued),
             col(r.completed),
             col(r.committed),
-            r.text,
+            r.instr,
             if r.squashed() { "   (squashed)" } else { "" },
         );
     }
@@ -93,7 +98,7 @@ mod tests {
             a: Operand::Imm(1),
             b: Operand::Imm(2),
         };
-        let mut r = TraceRecord::new(3, 7, &i, 10);
+        let mut r = TraceRecord::new(3, 7, i, 10);
         assert!(r.squashed());
         r.committed = Some(20);
         assert!(!r.squashed());
@@ -102,12 +107,12 @@ mod tests {
     #[test]
     fn render_marks_squashed_rows() {
         let i = Instr::Nop;
-        let mut a = TraceRecord::new(0, 0, &i, 1);
+        let mut a = TraceRecord::new(0, 0, i, 1);
         a.dispatched = 2;
         a.issued = Some(3);
         a.completed = Some(3);
         a.committed = Some(4);
-        let b = TraceRecord::new(1, 1, &i, 1);
+        let b = TraceRecord::new(1, 1, i, 1);
         let s = render_pipeline(&[a, b]);
         assert!(s.lines().count() >= 3);
         assert!(s.contains("(squashed)"));

@@ -192,7 +192,7 @@ fn assert_equivalent(tag: &str, fast: &RunResult, slow: &RunResult) {
             (
                 f.seq,
                 f.pc,
-                &f.text,
+                f.instr,
                 f.fetched,
                 f.dispatched,
                 f.issued,
@@ -202,7 +202,7 @@ fn assert_equivalent(tag: &str, fast: &RunResult, slow: &RunResult) {
             (
                 s.seq,
                 s.pc,
-                &s.text,
+                s.instr,
                 s.fetched,
                 s.dispatched,
                 s.issued,

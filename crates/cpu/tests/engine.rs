@@ -292,7 +292,7 @@ fn fork_and_run_mixes_heterogeneous_fork_sources() {
             expect.push((i, src.fork().run_one(prog, Backend::EventDriven)));
         }
     }
-    let got = fork_and_run(lanes);
+    let got: Vec<_> = fork_and_run(lanes).collect();
     assert_eq!(got.len(), expect.len());
     for (slot, ((i, want), got)) in expect.iter().zip(&got).enumerate() {
         assert_bit_identical(&format!("lane {slot} (gadget #{i})"), got, want);
@@ -505,7 +505,11 @@ fn counters_lane_matches_loads_lane_except_the_load_log() {
     }
     asm.halt();
     let prog = asm.assemble().expect("magnifier assembles");
-    let lane = |cfg: CpuConfig| fork_and_run([(&Snapshot::cold(cfg, hier), &prog)]).remove(0);
+    let lane = |cfg: CpuConfig| {
+        fork_and_run([(&Snapshot::cold(cfg, hier), &prog)])
+            .next()
+            .unwrap()
+    };
 
     let counters = lane(CpuConfig::coffee_lake());
     let mut loads = lane(CpuConfig::coffee_lake().with_load_recording());

@@ -383,7 +383,7 @@ fn issue_cycles_of_divs(cfg: CpuConfig) -> Vec<u64> {
     assert!(r.halted);
     r.trace
         .iter()
-        .filter(|t| t.text.contains("div"))
+        .filter(|t| matches!(t.instr, Instr::Alu { op: AluOp::Div, .. }))
         .map(|t| t.issued.expect("divs issue"))
         .collect()
 }

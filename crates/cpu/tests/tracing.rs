@@ -2,7 +2,7 @@
 //! model actually produced, including wrong-path (squashed) work.
 
 use racer_cpu::{render_pipeline, Backend, Cpu, CpuConfig};
-use racer_isa::{Asm, Cond, MemOperand};
+use racer_isa::{AluOp, Asm, Cond, Instr, MemOperand};
 use racer_mem::{Addr, HierarchyConfig};
 
 fn traced_cpu() -> Cpu {
@@ -31,7 +31,7 @@ fn trace_covers_every_committed_instruction_in_order() {
         let committed = rec.committed.expect("committed");
         assert!(rec.fetched <= rec.dispatched);
         assert!(rec.dispatched <= issued);
-        assert!(issued < completed || matches!(rec.text.as_str(), "halt" | "nop"));
+        assert!(issued < completed || matches!(rec.instr, Instr::Halt | Instr::Nop));
         assert!(completed <= committed, "commit follows completion");
     }
 }
@@ -126,11 +126,51 @@ fn race_winners_are_visible_in_the_trace() {
         .trace
         .iter()
         .rev()
-        .find(|t| t.text.starts_with("add"))
+        .find(|t| matches!(t.instr, Instr::Alu { op: AluOp::Add, .. }))
         .unwrap();
     assert!(
         short_end.issued.unwrap() < long_end.issued.unwrap(),
         "the short path's terminator must issue first:\n{}",
         render_pipeline(&r.trace)
+    );
+}
+
+/// Records keep the `Instr` and `render_pipeline` disassembles it on
+/// demand; the diagram (columns, disassembly, squash marks) is pinned
+/// byte for byte.
+#[test]
+fn rendered_pipeline_is_pinned_byte_for_byte() {
+    let mut cpu = traced_cpu();
+    let mut asm = Asm::new();
+    let (x, y) = (asm.reg(), asm.reg());
+    let skip = asm.fwd_label();
+    asm.load(x, MemOperand::abs(0x100));
+    asm.br(Cond::Ge, x, 1, skip);
+    asm.addi(y, y, 1);
+    asm.mul(y, y, x);
+    asm.bind(skip);
+    asm.fence();
+    asm.store(y, MemOperand::abs(0x140));
+    asm.halt();
+    let prog = asm.assemble().unwrap();
+    cpu.mem_mut().write(0x100, 0);
+    for _ in 0..4 {
+        cpu.run_one(&prog, Backend::EventDriven);
+    }
+    cpu.mem_mut().write(0x100, 1);
+    cpu.hierarchy_mut().flush(Addr(0x100));
+    let r = cpu.run_one(&prog, Backend::EventDriven);
+    assert_eq!(
+        render_pipeline(&r.trace),
+        "  seq    pc     F      D      I      C      R   instruction
+    0     0      0      5      6    246    246  load r0, [0x100]
+    1     1      0      5    246    247    247  bge r0, 0x1, @4
+    2     2      0      5      6      7      -  add r1, r1, 0x1   (squashed)
+    3     3      0      5    246      -      -  mul r1, r1, r0   (squashed)
+    4     4      1      6      7      7      -  fence   (squashed)
+    5     4    247    252    253    253    254  fence
+    6     5    247    254    255    256    256  store [0x140], r1
+    7     6    247    254    255    255    256  halt
+"
     );
 }

@@ -550,6 +550,13 @@ mod tests {
             "seeds beyond i64::MAX must be rejected at parse time"
         );
         assert!(parse_run_flags(&["--set".to_string(), "novalue".to_string()]).is_err());
+        // An empty value parses; resolution rejects it for list parameters
+        // (exit 5, `ResolvedParams::resolve`).
+        let empty = parse_run_flags(&["--set".to_string(), "targets=".to_string()]).unwrap();
+        assert_eq!(
+            empty.opts.overrides,
+            [("targets".to_string(), String::new())]
+        );
         assert!(parse_run_flags(&["--bogus".to_string()]).is_err());
         let twice = ["table_par_seq", "--quick", "table_par_seq"].map(String::from);
         assert_eq!(

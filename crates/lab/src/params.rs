@@ -208,8 +208,9 @@ pub struct ResolvedParams {
 
 impl ResolvedParams {
     /// Resolve `specs` under `scale`, then apply `(name, value)` overrides.
-    /// Unknown override names, kind mismatches and negative integers are
-    /// caller errors: every integer parameter is a count.
+    /// Unknown override names, kind mismatches, negative integers and
+    /// empty lists are caller errors: every integer parameter is a count
+    /// and every list parameter a sweep axis.
     pub fn resolve(
         specs: &[ParamSpec],
         scale: Scale,
@@ -236,6 +237,16 @@ impl ResolvedParams {
             if negative {
                 return Err(format!(
                     "parameter {key:?}: expected a non-negative count, got {text:?}"
+                ));
+            }
+            let empty = match &parsed {
+                ParamValue::IntList(v) => v.is_empty(),
+                ParamValue::StrList(v) => v.is_empty(),
+                _ => false,
+            };
+            if empty {
+                return Err(format!(
+                    "parameter {key:?}: expected a non-empty list, got {text:?}"
                 ));
             }
             let slot = values
@@ -364,6 +375,26 @@ mod tests {
         assert!(ResolvedParams::resolve(&specs(), Scale::Quick, &bad).is_err());
         let unknown = vec![("nope".to_string(), "1".to_string())];
         assert!(ResolvedParams::resolve(&specs(), Scale::Quick, &unknown).is_err());
+    }
+
+    #[test]
+    fn list_overrides_must_be_non_empty() {
+        let specs = [
+            ParamSpec::int_list("points", "sweep axis", &[1, 2], &[10, 20]),
+            ParamSpec::str_list("timers", "sweep axis", &["a"], &["a", "b"]),
+        ];
+        for (key, text) in [("points", ""), ("points", ","), ("timers", "")] {
+            let over = vec![(key.to_string(), text.to_string())];
+            assert_eq!(
+                ResolvedParams::resolve(&specs, Scale::Quick, &over).err(),
+                Some(format!(
+                    "parameter {key:?}: expected a non-empty list, got {text:?}"
+                )),
+            );
+        }
+        let one = vec![("timers".to_string(), "b".to_string())];
+        let p = ResolvedParams::resolve(&specs, Scale::Quick, &one).unwrap();
+        assert_eq!(p.str_list("timers"), ["b"]);
     }
 
     #[test]

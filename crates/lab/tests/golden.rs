@@ -270,3 +270,31 @@ fn trials_below_one_are_param_errors() {
     }
     std::fs::remove_dir_all(&tmp).ok();
 }
+
+/// Every list parameter is a sweep axis: an empty override is a parameter
+/// error (exit 5) naming the parameter, not a scenario panic on an empty
+/// ladder.
+#[test]
+fn empty_list_overrides_are_param_errors() {
+    let bin = env!("CARGO_BIN_EXE_racer-lab");
+    let tmp = std::env::temp_dir().join(format!("racer-lab-empty-{}", std::process::id()));
+    for (scenario, param) in [
+        ("gadget_search_eval", "targets"),
+        ("timer_mitigations_eval", "timers"),
+    ] {
+        let out = Command::new(bin)
+            .args(["run", scenario, "--quick", "--set"])
+            .arg(format!("{param}="))
+            .arg("--out")
+            .arg(&tmp)
+            .output()
+            .expect("spawn racer-lab");
+        assert_eq!(out.status.code(), Some(5), "{scenario} {param}=");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("parameter \"{param}\": expected a non-empty list")),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&tmp).ok();
+}
