@@ -195,9 +195,10 @@ impl Machine {
     /// effects, and the machine itself (state and wall clock) is
     /// untouched. Results come back in input order, bit-identical to
     /// cloning the machine per program and calling [`Machine::run`] on
-    /// each clone. One snapshot capture and one reused scheduling context
-    /// make this the cheap way to fan a trial grid out from one prepared
-    /// state.
+    /// each clone. One snapshot capture and the host thread's reused
+    /// scheduling context (kept across calls by
+    /// [`fork_and_run`]) make this the cheap way to fan a trial grid out
+    /// from one prepared state.
     ///
     /// # Panics
     ///

@@ -109,23 +109,33 @@ pub enum SmtPolicy {
 }
 
 impl SmtPolicy {
-    /// The order in which thread contexts claim issue slots this cycle.
-    /// `occupancy[tid]` is thread `tid`'s current ROB occupancy. Both the
-    /// event-driven and the reference scheduler call this one function, so
-    /// the arbitration decision can never drift between them.
-    pub fn order(self, cycle: u64, occupancy: &[usize]) -> Vec<usize> {
+    /// Fill `order` with the order in which thread contexts claim issue
+    /// slots this cycle. `occupancy[tid]` is thread `tid`'s current ROB
+    /// occupancy. Both the event-driven and the reference scheduler call
+    /// this one function, so the arbitration decision can never drift
+    /// between them. The caller owns `order`, so the per-cycle call
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `order` and `occupancy` have the same length.
+    pub fn order(self, cycle: u64, occupancy: &[usize], order: &mut [usize]) {
         let n = occupancy.len();
-        let mut order: Vec<usize> = (0..n).collect();
+        assert_eq!(order.len(), n, "one order slot per thread");
+        for (tid, slot) in order.iter_mut().enumerate() {
+            *slot = tid;
+        }
         match self {
             SmtPolicy::RoundRobin => {
                 let start = (cycle % n.max(1) as u64) as usize;
                 order.rotate_left(start);
             }
             SmtPolicy::Icount => {
-                order.sort_by_key(|&tid| (occupancy[tid], tid));
+                // Keys are distinct (the thread id breaks ties), so the
+                // in-place unstable sort orders exactly as a stable one.
+                order.sort_unstable_by_key(|&tid| (occupancy[tid], tid));
             }
         }
-        order
     }
 }
 
@@ -479,21 +489,45 @@ mod tests {
         cfg.validate();
     }
 
+    /// `p.order` into a fresh buffer.
+    fn order_of(p: SmtPolicy, cycle: u64, occupancy: &[usize]) -> Vec<usize> {
+        let mut order = vec![usize::MAX; occupancy.len()];
+        p.order(cycle, occupancy, &mut order);
+        order
+    }
+
     #[test]
     fn round_robin_order_rotates_by_cycle() {
         let p = SmtPolicy::RoundRobin;
-        assert_eq!(p.order(0, &[5, 5]), vec![0, 1]);
-        assert_eq!(p.order(1, &[5, 5]), vec![1, 0]);
-        assert_eq!(p.order(2, &[5, 5]), vec![0, 1]);
-        assert_eq!(p.order(7, &[0, 0, 0]), vec![1, 2, 0]);
-        assert_eq!(p.order(123, &[9]), vec![0]);
+        assert_eq!(order_of(p, 0, &[5, 5]), vec![0, 1]);
+        assert_eq!(order_of(p, 1, &[5, 5]), vec![1, 0]);
+        assert_eq!(order_of(p, 2, &[5, 5]), vec![0, 1]);
+        assert_eq!(order_of(p, 7, &[0, 0, 0]), vec![1, 2, 0]);
+        assert_eq!(order_of(p, 123, &[9]), vec![0]);
     }
 
     #[test]
     fn icount_order_prefers_emptier_thread() {
         let p = SmtPolicy::Icount;
-        assert_eq!(p.order(0, &[10, 3]), vec![1, 0]);
-        assert_eq!(p.order(5, &[2, 9, 2]), vec![0, 2, 1], "ties break by id");
+        assert_eq!(order_of(p, 0, &[10, 3]), vec![1, 0]);
+        assert_eq!(
+            order_of(p, 5, &[2, 9, 2]),
+            vec![0, 2, 1],
+            "ties break by id"
+        );
+    }
+
+    #[test]
+    fn order_overwrites_a_reused_buffer() {
+        // The schedulers reuse one buffer every cycle: each call must
+        // rewrite all of it, whatever the previous cycle left there.
+        let mut order = vec![0; 3];
+        SmtPolicy::Icount.order(0, &[9, 1, 5], &mut order);
+        assert_eq!(order, vec![1, 2, 0]);
+        SmtPolicy::RoundRobin.order(4, &[9, 1, 5], &mut order);
+        assert_eq!(order, vec![1, 2, 0]);
+        SmtPolicy::RoundRobin.order(3, &[9, 1, 5], &mut order);
+        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]

@@ -100,15 +100,18 @@
 //!   bit-identical results, counted in `RunResult::fast_forwarded`. The
 //!   reference scheduler never fast-forwards.
 //! * **No steady-state allocation.** All scheduling structures live in
-//!   the per-thread `ThreadCtx` structs, owned by [`Cpu`] and reused
-//!   across [`Cpu::run`] calls, and a run decodes nothing (the µop table
-//!   belongs to the program);
+//!   the per-thread `ThreadCtx` structs, reused across runs: a [`Cpu`]
+//!   owns one per hardware thread for its [`Cpu::run`] calls, and the
+//!   fork-and-run engine keeps one per host thread across
+//!   [`fork_and_run`](crate::engine::fork_and_run) calls. A run decodes
+//!   nothing (the µop table belongs to the program);
 //!   sources use inline `[Src; 3]` storage (no instruction has more than
 //!   three; the register names live in the decoded table), and the
 //!   `loads`/`trace` vectors are only touched when
-//!   [`CpuConfig::record`](crate::CpuConfig) asks for them. (SMT
-//!   arbitration allocates two small per-cycle vectors, but only when
-//!   `threads > 1`.)
+//!   [`CpuConfig::record`](crate::CpuConfig) asks for them (a forked
+//!   traced run reserves its trace once, one record per stored
+//!   instruction). SMT arbitration fills two driver-owned buffers, sized
+//!   once per run.
 
 use crate::config::{Backend, Countermeasure, CpuConfig, RecordLevel};
 use crate::predictor::{self, Predictor};
@@ -262,7 +265,9 @@ pub(crate) struct ThreadCtx {
     /// cycle modulo [`WHEEL`] — O(1) insert and O(arrivals) drain, replacing
     /// a binary heap on the two hottest per-instruction edges.
     wheel: Vec<Vec<(Seq, u32)>>,
-    /// Scratch bucket swapped in while draining the current wheel slot.
+    /// Scratch bucket swapped in while draining the current wheel slot;
+    /// the slot's own buffer goes back after, so every bucket keeps its
+    /// capacity from run to run.
     wheel_scratch: Vec<(Seq, u32)>,
     /// Completions further than [`WHEEL`] cycles out (DRAM-latency outliers;
     /// re-homed into the wheel as their arrival approaches).
@@ -482,6 +487,11 @@ pub(crate) fn run_fork(
     prog: &Program,
     s: &mut ThreadCtx,
 ) -> RunResult {
+    if cfg.record.trace() {
+        // One record per dispatched instruction: a straight-line lane
+        // dispatches each stored instruction once.
+        s.trace.reserve(prog.stored().len());
+    }
     let stats_before = hier.stats();
     Pipeline {
         cfg,
@@ -829,6 +839,9 @@ impl SmtRun<'_> {
     }
 
     fn run_multi(&mut self, n: usize) {
+        // Arbitration buffers, rewritten every cycle.
+        let mut occupancy = vec![0usize; n];
+        let mut order = vec![0usize; n];
         loop {
             for tid in 0..n {
                 if !self.ctxs[tid].done {
@@ -849,8 +862,13 @@ impl SmtRun<'_> {
             // driver, not per thread.
             let mut used = [0usize; NUM_CLASSES];
             let mut issued = 0usize;
-            let occupancy: Vec<usize> = self.ctxs.iter().map(|c| c.len).collect();
-            for tid in self.cfg.smt_policy.order(self.cycle, &occupancy) {
+            for (occ, c) in occupancy.iter_mut().zip(self.ctxs.iter()) {
+                *occ = c.len;
+            }
+            self.cfg
+                .smt_policy
+                .order(self.cycle, &occupancy, &mut order);
+            for &tid in &order {
                 if !self.ctxs[tid].done {
                     self.stage(tid, |p| p.issue(&mut used, &mut issued));
                 }
@@ -1058,11 +1076,9 @@ impl<'a> Pipeline<'a> {
         }
         // Drain this cycle's wheel bucket: everything whose functional-unit
         // latency has elapsed.
+        let now_bucket = self.cycle as usize & (WHEEL - 1);
         let mut bucket = std::mem::take(&mut self.s.wheel_scratch);
-        std::mem::swap(
-            &mut bucket,
-            &mut self.s.wheel[self.cycle as usize & (WHEEL - 1)],
-        );
+        std::mem::swap(&mut bucket, &mut self.s.wheel[now_bucket]);
         for &(seq, slot) in &bucket {
             if !self.s.valid(seq, slot) {
                 continue; // squashed while in flight
@@ -1121,7 +1137,12 @@ impl<'a> Pipeline<'a> {
                 self.s.resolve_q.push(Reverse((seq, slot)));
             }
         }
+        // The drain scheduled nothing, so the slot still holds the empty
+        // scratch: give the bucket its own buffer back, so every bucket
+        // keeps its capacity instead of drifting round the wheel.
         bucket.clear();
+        std::mem::swap(&mut bucket, &mut self.s.wheel[now_bucket]);
+        debug_assert!(bucket.is_empty(), "the drain refilled its own bucket");
         self.s.wheel_scratch = bucket;
         // Resolve branches oldest-first; a squash invalidates younger ones,
         // whose stale handles are dropped by the validity check.

@@ -23,9 +23,12 @@
 //!   [`Hierarchy`], which shares cache storage in
 //!   `Arc`-backed chunks and only materialises the chunks the lane
 //!   actually writes (see `racer_mem`'s COW docs).
-//! * **One reused context**: a single `ThreadCtx` (ROB ring, ready
-//!   heaps, stall pool, store queue) is reset and reused for every lane,
-//!   so a call allocates scheduling structures once.
+//! * **One reused context per host thread**: a `ThreadCtx` (ROB ring,
+//!   completion wheel, ready heaps, stall pool, store queue) belongs to
+//!   the host thread, not to the call. It is reset for every lane and
+//!   parked in a thread-local slot between calls, so a thread that makes
+//!   thousands of short calls (the gadget search scores one candidate per
+//!   call) allocates its scheduling structures once.
 //!
 //! The engine never spawns threads: callers fan calls out across host
 //! cores with [`batch::par_map`](crate::batch::par_map).
@@ -68,6 +71,7 @@ use crate::predictor::Predictor;
 use crate::stats::RunResult;
 use racer_isa::{DataMemory, Program};
 use racer_mem::{Hierarchy, HierarchyConfig};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -153,6 +157,50 @@ impl Snapshot {
     }
 }
 
+thread_local! {
+    /// This host thread's scheduling context, parked between
+    /// [`fork_and_run`] calls (empty while a call holds it).
+    static PARKED_CTX: Cell<Option<ThreadCtx>> = const { Cell::new(None) };
+}
+
+/// A [`fork_and_run`] call's lanes plus the scheduling context they run
+/// on, taken from this host thread's slot and put back on drop.
+struct Lanes<I> {
+    lanes: I,
+    ctx: ThreadCtx,
+}
+
+impl<'a, I: Iterator<Item = (&'a Snapshot, &'a Program)>> Iterator for Lanes<I> {
+    type Item = RunResult;
+
+    fn next(&mut self) -> Option<RunResult> {
+        let (snap, prog) = self.lanes.next()?;
+        let src = &snap.inner;
+        self.ctx.reset(src.cfg.rob_size);
+        Some(core::run_fork(
+            &src.cfg,
+            src.hier.clone(),
+            src.mem.clone(),
+            src.predictor.clone_box(),
+            prog,
+            &mut self.ctx,
+        ))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.lanes.size_hint()
+    }
+}
+
+impl<I> Drop for Lanes<I> {
+    fn drop(&mut self) {
+        let ctx = std::mem::take(&mut self.ctx);
+        // During thread teardown the slot may already be gone; the
+        // context is then simply dropped.
+        let _ = PARKED_CTX.try_with(|slot| slot.set(Some(ctx)));
+    }
+}
+
 /// Run every `(snapshot, program)` lane to completion on its own fork of
 /// the snapshot, one lane after another, yielding one [`RunResult`] per
 /// lane in input order.
@@ -165,8 +213,13 @@ impl Snapshot {
 /// Lanes may fork from different snapshots — distinct cache layouts,
 /// jitter seeds, planted secrets, even distinct [`CpuConfig`]s: each lane
 /// runs under its own snapshot's config. Each lane reads its program's own
-/// µop table ([`Program::decoded`]), and one scheduling context is reset
-/// and reused for every lane. Each result is bit-identical to
+/// µop table ([`Program::decoded`]). The scheduling context belongs to the
+/// host thread and persists across calls: a call takes the thread's
+/// context when it starts, resets it for every lane, and puts it back when
+/// the iterator drops, so a loop of calls on one thread (one gadget
+/// candidate per call) allocates its ROB ring, wheel and heaps once. A
+/// call made while another call's iterator is alive on the same thread
+/// builds its own context. Each result is bit-identical to
 /// `snap.fork().run_one(prog, Backend::EventDriven)`; the snapshots are
 /// untouched.
 pub fn fork_and_run<'a, I>(lanes: I) -> impl Iterator<Item = RunResult> + 'a
@@ -174,19 +227,10 @@ where
     I: IntoIterator<Item = (&'a Snapshot, &'a Program)>,
     I::IntoIter: 'a,
 {
-    let mut ctx = ThreadCtx::default();
-    lanes.into_iter().map(move |(snap, prog)| {
-        let src = &snap.inner;
-        ctx.reset(src.cfg.rob_size);
-        core::run_fork(
-            &src.cfg,
-            src.hier.clone(),
-            src.mem.clone(),
-            src.predictor.clone_box(),
-            prog,
-            &mut ctx,
-        )
-    })
+    Lanes {
+        lanes: lanes.into_iter(),
+        ctx: PARKED_CTX.with(Cell::take).unwrap_or_default(),
+    }
 }
 
 /// Hit/miss counters for a [`SnapshotCache`], read via

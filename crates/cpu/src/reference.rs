@@ -202,6 +202,8 @@ impl<'a> RefPipeline<'a> {
     pub(crate) fn run(mut self) -> Vec<RunResult> {
         let stats_before = self.hier.stats();
         let n = self.progs.len();
+        let mut occupancy = vec![0usize; n];
+        let mut order = vec![0usize; n];
         loop {
             for tid in 0..n {
                 if !self.threads[tid].done {
@@ -226,8 +228,13 @@ impl<'a> RefPipeline<'a> {
                     self.issue(0, &mut ports, &mut issued);
                 }
             } else {
-                let occupancy: Vec<usize> = self.threads.iter().map(|t| t.rob.len()).collect();
-                for tid in self.cfg.smt_policy.order(self.cycle, &occupancy) {
+                for (occ, t) in occupancy.iter_mut().zip(&self.threads) {
+                    *occ = t.rob.len();
+                }
+                self.cfg
+                    .smt_policy
+                    .order(self.cycle, &occupancy, &mut order);
+                for &tid in &order {
                     if !self.threads[tid].done {
                         self.issue(tid, &mut ports, &mut issued);
                     }

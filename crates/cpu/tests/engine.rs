@@ -518,3 +518,72 @@ fn counters_lane_matches_loads_lane_except_the_load_log() {
     loads.loads.clear();
     assert_bit_identical("counters vs loads lane", &counters, &loads);
 }
+
+#[test]
+fn reused_thread_context_is_invisible() {
+    // Every call below runs on this test's one host thread, so each lane
+    // runs on whatever scheduling context the thread last parked: one an
+    // abandoned iterator gave back, one sized for another ROB, or a fresh
+    // one while a sibling iterator holds the parked context.
+    let traced = CpuConfig::coffee_lake().with_record_level(racer_cpu::RecordLevel::Trace);
+    let big = warmed_snapshot(traced);
+    let small = Snapshot::cold(
+        CpuConfig {
+            rob_size: 24,
+            rs_size: 12,
+            ..traced
+        },
+        HierarchyConfig::small_plru(),
+    );
+    let progs = gadget_population(0x4E_05E, 6);
+    let check = |tag: &str, snap: &Snapshot, prog: &Program, got: Option<RunResult>| {
+        let got = got.unwrap_or_else(|| panic!("{tag}: lane missing"));
+        let want = snap.fork().run_one(prog, Backend::EventDriven);
+        assert_eq!(got.mem_stats, want.mem_stats, "{tag}: cache stats diverge");
+        assert!(!want.trace.is_empty(), "{tag}: the lane is traced");
+        assert_eq!(got.trace.len(), want.trace.len(), "{tag}: traces diverge");
+        assert_bit_identical(tag, &got, &want);
+    };
+
+    // A call whose iterator is dropped after one lane, then full calls
+    // on the context it gave back.
+    let mut abandoned = fork_and_run(progs.iter().map(|p| (&big, p)));
+    check("abandoned call", &big, &progs[0], abandoned.next());
+    drop(abandoned);
+    for _ in 0..2 {
+        let runs = fork_and_run(progs.iter().map(|p| (&big, p)));
+        for (i, (prog, got)) in progs.iter().zip(runs).enumerate() {
+            check(
+                &format!("after an abandoned call, lane {i}"),
+                &big,
+                prog,
+                Some(got),
+            );
+        }
+    }
+
+    // Two live iterators on one thread, advanced alternately: the second
+    // finds the slot empty and must not share the first's context.
+    let mut a = fork_and_run(progs.iter().map(|p| (&big, p)));
+    let mut b = fork_and_run(progs.iter().rev().map(|p| (&small, p)));
+    for (i, (pa, pb)) in progs.iter().zip(progs.iter().rev()).enumerate() {
+        check(&format!("interleaved a, lane {i}"), &big, pa, a.next());
+        check(&format!("interleaved b, lane {i}"), &small, pb, b.next());
+    }
+    assert!(a.next().is_none() && b.next().is_none());
+    drop((a, b));
+
+    // One-lane calls alternating between ROB sizes: each reset resizes
+    // the parked ring.
+    for (i, prog) in progs.iter().enumerate() {
+        for (name, snap) in [("big", &big), ("small", &small)] {
+            let got = fork_and_run([(snap, prog)]).next();
+            check(
+                &format!("alternating ROB sizes, {name} lane {i}"),
+                snap,
+                prog,
+                got,
+            );
+        }
+    }
+}
