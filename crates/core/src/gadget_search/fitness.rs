@@ -1,18 +1,21 @@
 //! Scoring a candidate gadget: resolution, monotonicity, stealth.
 //!
-//! Scoring is split in two. [`measure`] simulates: it runs the
-//! candidate's `targets.len()` lowered programs, traced, through one
-//! [`fork_and_run`] call on a warmed snapshot, reading each run as it
-//! finishes and stopping at the first run that fails. Because each run is
-//! traced, the timer reading at a target falls out of *one* run — the
-//! number of clock ops whose completion cycle is ≤ the measured tail's —
-//! with no binary search and no repeat trials (the simulator is
-//! deterministic). The result is a small [`Measurement`]: one
-//! `(reading, duration)` pair per target plus the two detector verdicts.
+//! Scoring is split in two. [`measure`] simulates: it walks the
+//! candidate's target ladder and runs each target's canonical [`Rung`]
+//! traced through [`measure_rung`] — one [`fork_and_run`] lane on a
+//! warmed snapshot — stopping at the first run that fails. Because each
+//! run is traced, the timer reading at a target falls out of *one* run —
+//! the number of clock ops whose completion cycle is ≤ the measured
+//! tail's — with no binary search and no repeat trials (the simulator is
+//! deterministic). A run yields a fixed-size [`RungReading`]; a ladder's
+//! readings make a small [`Measurement`]: one `(reading, duration)` pair
+//! per target plus the two detector verdicts on the last target.
 //! [`score`] is pure arithmetic on that, and [`evaluate`] is
-//! `score(measure(..))`. A search keeps each distinct template's
-//! measurement and re-scores it when the template is bred again, so a
-//! repeated candidate costs no simulation and scores bit-identically.
+//! `score(measure(..))`. A run is a pure function of its rung, so a
+//! search keeps each distinct rung's reading and builds a bred
+//! candidate's measurement from the readings of its ladder: a repeated
+//! template, or one whose rungs other templates share, costs no new
+//! simulation and scores bit-identically.
 //!
 //! The three terms mirror what the repo already measures elsewhere:
 //!
@@ -30,7 +33,7 @@
 //!   worse than any unflagged gadget, while preserving score ordering
 //!   among flagged ones).
 
-use super::template::GadgetTemplate;
+use super::template::{GadgetTemplate, Rung};
 use crate::experiments::detection::{backend_bound_detector, l1_miss_detector, CounterProfile};
 use racer_cpu::engine::{fork_and_run, Snapshot, SnapshotCache};
 use racer_cpu::{workloads, CpuConfig, RunResult};
@@ -44,7 +47,9 @@ const L1_THRESHOLD_MPKI: f64 = 50.0;
 /// per-run cycle ceiling and the warmup depth of the shared snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FitnessConfig {
-    /// Measured-length ladder (units of `measured_scale` ops).
+    /// Measured-length ladder (units of `measured_scale` ops), strictly
+    /// ascending: monotonicity compares adjacent targets and stealth is
+    /// judged on the last one.
     pub targets: Vec<usize>,
     /// Total clock ops per lowered program.
     pub clock_len: usize,
@@ -207,6 +212,49 @@ fn completion_by_pc(r: &RunResult, prog_len: usize) -> Vec<Option<u64>> {
     by_pc
 }
 
+/// What one traced run of a [`Rung`] yields: its timer reading and
+/// duration (see [`FitnessPoint`]) and the two detector verdicts on the
+/// run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RungReading {
+    /// Clock ops completed before the measured tail.
+    pub reading: u64,
+    /// Completion cycle of the measured tail.
+    pub duration: u64,
+    /// The L1-miss detector's verdict on the run.
+    pub l1_flagged: bool,
+    /// The backend-bound detector's verdict on the run.
+    pub backend_flagged: bool,
+}
+
+/// Run `rung`'s lowered program traced on one fork of `snap` through
+/// [`fork_and_run`] (`snap` must have been built by
+/// [`FitnessConfig::snapshot`] for the same config). `None` when the run
+/// did not finish cleanly or never completed its measured tail.
+pub fn measure_rung(rung: &Rung, cfg: &FitnessConfig, snap: &Snapshot) -> Option<RungReading> {
+    let l = rung.lower(cfg.clock_len);
+    let r = fork_and_run([(snap, &l.prog)])
+        .next()
+        .expect("one lane yields one run");
+    if !r.halted || r.limit_hit || r.cycles > cfg.cycle_budget {
+        return None;
+    }
+    let by_pc = completion_by_pc(&r, l.prog.len());
+    let duration = by_pc[l.measured_tail_pc]?;
+    let reading = l
+        .clock_pcs
+        .iter()
+        .filter(|&&pc| by_pc[pc].is_some_and(|c| c <= duration))
+        .count() as u64;
+    let profile = CounterProfile::from_run("candidate", &r);
+    Some(RungReading {
+        reading,
+        duration,
+        l1_flagged: l1_miss_detector(&profile, L1_THRESHOLD_MPKI),
+        backend_flagged: backend_bound_detector(&profile),
+    })
+}
+
 /// What simulating one candidate yields: everything [`score`] reads.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Measurement {
@@ -219,51 +267,42 @@ pub struct Measurement {
     pub backend_flagged: bool,
 }
 
-/// Run `tpl`'s lowered target ladder on forks of `snap` through one
-/// [`fork_and_run`] (`snap` must have been built by
-/// [`FitnessConfig::snapshot`] for the same config). `None` when a run
-/// did not finish cleanly or never completed its measured tail; the
-/// targets after it are not run.
+impl Measurement {
+    /// A ladder's measurement from its rungs' readings in ladder order:
+    /// `None` at the first failed rung (the rest are not drawn from
+    /// `rungs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rungs` is empty.
+    pub(crate) fn from_rungs(
+        rungs: impl IntoIterator<Item = Option<RungReading>>,
+    ) -> Option<Measurement> {
+        let rungs: Vec<RungReading> = rungs.into_iter().collect::<Option<_>>()?;
+        // Stealth is judged on the longest (last) target: the program a
+        // detector would actually watch the attacker run.
+        let last = rungs.last().expect("non-empty ladder");
+        Some(Measurement {
+            readings: rungs.iter().map(|r| (r.reading, r.duration)).collect(),
+            l1_flagged: last.l1_flagged,
+            backend_flagged: last.backend_flagged,
+        })
+    }
+}
+
+/// Run `tpl`'s target ladder rung by rung through [`measure_rung`].
+/// `None` when a run did not finish cleanly or never completed its
+/// measured tail; the targets after it are not run.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.targets` is empty.
 pub fn measure(tpl: &GadgetTemplate, cfg: &FitnessConfig, snap: &Snapshot) -> Option<Measurement> {
-    let lowered: Vec<_> = cfg
-        .targets
-        .iter()
-        .map(|&t| tpl.lower(t, cfg.clock_len))
-        .collect();
-    // Read each run as it finishes, so one trace is alive at a time.
-    let runs = fork_and_run(lowered.iter().map(|l| (snap, &l.prog)));
-    let mut readings = Vec::with_capacity(lowered.len());
-    let mut flags = None;
-    for (l, r) in lowered.iter().zip(runs) {
-        if !r.halted || r.limit_hit || r.cycles > cfg.cycle_budget {
-            return None;
-        }
-        let by_pc = completion_by_pc(&r, l.prog.len());
-        let measured_done = by_pc[l.measured_tail_pc]?;
-        let reading = l
-            .clock_pcs
+    Measurement::from_rungs(
+        cfg.targets
             .iter()
-            .filter(|&&pc| by_pc[pc].is_some_and(|c| c <= measured_done))
-            .count() as u64;
-        readings.push((reading, measured_done));
-        // Stealth is judged on the longest (last) target: the program a
-        // detector would actually watch the attacker run.
-        let profile = CounterProfile::from_run("candidate", &r);
-        flags = Some((
-            l1_miss_detector(&profile, L1_THRESHOLD_MPKI),
-            backend_bound_detector(&profile),
-        ));
-    }
-    let (l1_flagged, backend_flagged) = flags.expect("non-empty ladder");
-    Some(Measurement {
-        readings: readings.into_boxed_slice(),
-        l1_flagged,
-        backend_flagged,
-    })
+            .map(|&t| measure_rung(&tpl.rung(t), cfg, snap)),
+    )
 }
 
 /// The [`Fitness`] of a measurement taken over the ladder `targets`

@@ -14,10 +14,12 @@
 //!   `racer_isa` programs through the same `Asm` idiom as
 //!   `racer_cpu::workloads::timer_race`. Sampling is driven by a seeded
 //!   [`SplitMix64`], so every candidate is reproducible from
-//!   `(template, seed)` alone.
+//!   `(template, seed)` alone. A [`Rung`] is one `(template, target)`
+//!   pair in canonical form: exactly what lowering reads, so pairs that
+//!   lower to the same program the same way share it.
 //! * [`fitness`] — scores a template by lowering it at a ladder of target
-//!   lengths and fanning the lowered programs through one
-//!   [`fork_and_run`](racer_cpu::engine::fork_and_run) call on a warmed
+//!   lengths and running each lowered program (one [`Rung`]) through
+//!   [`fork_and_run`](racer_cpu::engine::fork_and_run) on a warmed
 //!   snapshot. One traced run per target yields the timer reading
 //!   directly (clock ops completed before the measured tail), so a
 //!   candidate costs a handful of runs, not a binary search; `measure`
@@ -30,8 +32,9 @@
 //!   are bred from a novelty archive keyed by a behaviour descriptor
 //!   (resolution bucket × FU-pressure signature), evaluated in parallel
 //!   with worker-count-independent ordering
-//!   ([`racer_cpu::batch::par_map_workers`]) — each distinct template is
-//!   simulated once per search and re-scored when bred again — and
+//!   ([`racer_cpu::batch::par_map_workers`]) — each distinct ladder
+//!   rung is simulated once per search, however many templates share
+//!   it, and a template is re-scored from its rungs when bred again — and
 //!   checkpointed once per generation so long searches survive kills and
 //!   resume byte-for-byte.
 //! * [`shipped`] — the hand-written paper-racer baseline plus the top
@@ -49,8 +52,8 @@ pub mod shipped;
 pub mod template;
 
 pub use fitness::{
-    eval_cpu_config, evaluate, measure, score, stealth_term, Fitness, FitnessConfig, FitnessPoint,
-    Measurement,
+    eval_cpu_config, evaluate, measure, measure_rung, score, stealth_term, Fitness, FitnessConfig,
+    FitnessPoint, Measurement, RungReading,
 };
 pub use racer_rng::SplitMix64;
 pub use search::{run_search, Candidate, Cell, GenerationLog, SearchConfig, SearchState};
@@ -58,4 +61,4 @@ pub use shipped::{
     fenced_dud, hand_written_baseline, shipped_gadgets, ExpectedFitness, ShippedGadget,
     QUICK_FITNESS_FLOOR,
 };
-pub use template::{ArmLayout, ChainOp, GadgetTemplate, LoweredGadget};
+pub use template::{ArmLayout, ChainOp, GadgetTemplate, LoweredGadget, Rung};

@@ -12,12 +12,17 @@
 //! updates replay in candidate order. Nothing observes wall-clock or
 //! thread identity.
 //!
-//! Evaluation is memoised per distinct template: the state keeps each
-//! simulated template's [`Measurement`] and a generation simulates only
-//! the templates it has not seen, so a re-bred template is re-scored by
-//! [`score`] without running its ladder. A memoised score is the fresh
-//! one bit for bit ([`evaluate`](super::fitness::evaluate) is
-//! `score(measure(..))`), so the memo changes only the wall clock. It is
+//! Evaluation is memoised per ladder rung: the state keeps each
+//! simulated [`Rung`]'s [`RungReading`], and a generation simulates only
+//! the rungs it has not seen, deduplicated in first-occurrence order.
+//! Many templates share a rung — at target 0 the measured arm emits
+//! nothing, and `measured_scale` only multiplies the target — so a rung
+//! is simulated once for all of them, and a re-bred template is
+//! re-scored by [`score`] without running anything. A candidate's
+//! [`Measurement`] is built from its ladder's readings exactly as
+//! [`measure`](super::fitness::measure) builds it, so a memoised score is
+//! the fresh one bit for bit ([`evaluate`](super::fitness::evaluate) is
+//! `score(measure(..))`) and the memo changes only the wall clock. It is
 //! not part of the state's equality or serialization; a resumed state
 //! refills it as it goes.
 //!
@@ -29,8 +34,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::fitness::{measure, score, Fitness, FitnessConfig, FitnessPoint, Measurement};
-use super::template::{ArmLayout, ChainOp, GadgetTemplate};
+use super::fitness::{
+    measure_rung, score, Fitness, FitnessConfig, FitnessPoint, Measurement, RungReading,
+};
+use super::template::{ArmLayout, ChainOp, GadgetTemplate, Rung};
 use racer_cpu::batch::{max_threads, par_map_workers};
 use racer_cpu::engine::Snapshot;
 use racer_results::Value;
@@ -125,12 +132,12 @@ pub struct SearchState {
     pub archive: BTreeMap<Cell, Candidate>,
     /// One entry per completed generation.
     pub log: Vec<GenerationLog>,
-    /// Measurements of the templates simulated so far.
+    /// Readings of the rungs simulated so far.
     memo: Memo,
 }
 
 /// Equality is over the serialized state; the memo only caches what
-/// [`measure`] would recompute.
+/// [`measure_rung`] would recompute.
 impl PartialEq for SearchState {
     fn eq(&self, other: &SearchState) -> bool {
         self.rng == other.rng
@@ -141,24 +148,24 @@ impl PartialEq for SearchState {
     }
 }
 
-/// Each simulated template's measurement under one fitness config.
+/// Each simulated rung's reading under one fitness config.
 #[derive(Clone, Default)]
 struct Memo {
-    /// The config the measurements were taken under.
+    /// The config the readings were taken under.
     fitness: Option<FitnessConfig>,
     /// A `BTreeMap`, not a `HashMap`: over repeated paper-preset
     /// searches in one process the hash table's doubling reallocations
-    /// left peak RSS about 1.7 MiB higher than the tree's small nodes.
-    measured: BTreeMap<GadgetTemplate, Option<Measurement>>,
-    /// Templates simulated, one per memo miss: what a lost memo would
-    /// show (pinned by the tests).
+    /// left peak RSS higher than the tree's small nodes.
+    readings: BTreeMap<Rung, Option<RungReading>>,
+    /// Rungs simulated, one per memo miss: what a lost memo would show
+    /// (pinned by the tests).
     simulated: u64,
 }
 
 impl std::fmt::Debug for Memo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memo")
-            .field("templates", &self.measured.len())
+            .field("rungs", &self.readings.len())
             .field("simulated", &self.simulated)
             .finish()
     }
@@ -190,9 +197,10 @@ impl SearchState {
 
     /// Run one generation: breed `population` candidates (3:1
     /// mutation-of-an-archived-parent vs. fresh sample once the archive
-    /// is non-empty), simulate the ones not seen before in parallel,
-    /// score every candidate, fold them into the archive in candidate
-    /// order, and append the generation log.
+    /// is non-empty), simulate the ladder rungs not seen before in
+    /// parallel, score every candidate from its rungs' readings, fold
+    /// them into the archive in candidate order, and append the
+    /// generation log.
     pub fn step(&mut self, cfg: &SearchConfig, snap: &Snapshot) {
         let parent_cells: Vec<Cell> = self.archive.keys().copied().collect();
         let mut templates = Vec::with_capacity(cfg.population);
@@ -213,22 +221,28 @@ impl SearchState {
         let memo = &mut self.memo;
         if memo.fitness.as_ref() != Some(&cfg.fitness) {
             memo.fitness = Some(cfg.fitness.clone());
-            memo.measured.clear();
+            memo.readings.clear();
         }
-        // Simulate each template the memo lacks once, in first-occurrence
+        // Simulate each rung the memo lacks once, in first-occurrence
         // order.
+        let targets = &cfg.fitness.targets;
         let mut seen = BTreeSet::new();
-        let fresh: Vec<GadgetTemplate> = templates
+        let fresh: Vec<Rung> = templates
             .iter()
-            .filter(|t| !memo.measured.contains_key(t) && seen.insert(**t))
-            .copied()
+            .flat_map(|tpl| targets.iter().map(|&t| tpl.rung(t)))
+            .filter(|r| !memo.readings.contains_key(r) && seen.insert(*r))
             .collect();
-        let measured = par_map_workers(&fresh, workers, |tpl| measure(tpl, &cfg.fitness, snap));
+        let readings = par_map_workers(&fresh, workers, |r| measure_rung(r, &cfg.fitness, snap));
         memo.simulated += fresh.len() as u64;
-        memo.measured.extend(fresh.into_iter().zip(measured));
+        memo.readings.extend(fresh.into_iter().zip(readings));
         let (mut invalid, mut new_cells, mut improved) = (0u32, 0u32, 0u32);
         for template in templates {
-            let fitness = score(&cfg.fitness.targets, self.memo.measured[&template].as_ref());
+            let measurement = Measurement::from_rungs(
+                targets
+                    .iter()
+                    .map(|&t| self.memo.readings[&template.rung(t)]),
+            );
+            let fitness = score(targets, measurement.as_ref());
             let id = self.next_id;
             self.next_id += 1;
             if !fitness.valid {
@@ -536,19 +550,40 @@ mod tests {
     }
 
     #[test]
-    fn each_distinct_template_is_simulated_once() {
+    fn each_distinct_rung_is_simulated_once() {
         let cfg = repeating_config();
         let state = run_search(&cfg);
         let bred = u64::from(cfg.generations) * cfg.population as u64;
         assert_eq!(state.next_id, bred);
-        // Pinned: a search that re-simulates repeats (a lost memo) counts
-        // every bred candidate here.
-        assert_eq!(state.memo.simulated, 156, "of {bred} bred");
-        assert_eq!(state.memo.measured.len(), 156);
+        // Pinned: a memo keyed by template simulates 156 × 3 rungs here,
+        // and a lost memo every bred candidate's 3.
+        assert_eq!(state.memo.simulated, 401, "of {bred} bred × 3 targets");
+        assert_eq!(state.memo.readings.len(), 401);
         // The memo is outside equality and serialization.
         let back = SearchState::from_value(&state.to_value()).unwrap();
         assert_eq!(back, state);
-        assert!(back.memo.measured.is_empty());
+        assert!(back.memo.readings.is_empty());
+    }
+
+    #[test]
+    fn the_memo_is_invisible_to_a_search_with_invalid_candidates() {
+        let mut cfg = repeating_config();
+        // Slow-clock candidates overrun this budget.
+        cfg.fitness.cycle_budget = 300;
+        let whole = run_search(&cfg);
+        let invalid: u32 = whole.log.iter().map(|l| l.invalid).sum();
+        assert!(invalid > 0 && !whole.archive.is_empty(), "{:?}", whole.log);
+        assert!(whole.memo.readings.values().any(Option::is_none));
+        // A round trip between generations empties the memo, so every
+        // generation of this search starts from nothing.
+        let snap = cfg.fitness.snapshot();
+        let mut resumed = SearchState::new(cfg.seed);
+        while resumed.generation < cfg.generations {
+            resumed.step(&cfg, &snap);
+            resumed = SearchState::from_value(&resumed.to_value()).unwrap();
+            assert!(resumed.memo.readings.is_empty());
+        }
+        assert_eq!(resumed, whole);
     }
 
     #[test]
@@ -560,15 +595,12 @@ mod tests {
         let snap = first.fitness.snapshot();
         let mut state = SearchState::new(first.seed);
         state.step(&first, &snap);
+        assert!(state.memo.readings.keys().any(|r| r.units() == 0));
         state.step(&second, &snap);
         state.step(&second, &snap);
         assert_eq!(state.memo.fitness.as_ref(), Some(&second.fitness));
-        assert!(state
-            .memo
-            .measured
-            .values()
-            .flatten()
-            .all(|m| m.readings.len() == 2));
+        // The first ladder's target-0 rungs went with its memo.
+        assert!(state.memo.readings.keys().all(|r| r.units() > 0));
         for c in state.archive.values().filter(|c| c.generation > 0) {
             let fresh = evaluate(&c.template, &second.fitness, &snap);
             assert_eq!(c.fitness.bits(), fresh.bits(), "candidate {}", c.id);

@@ -13,6 +13,10 @@
 //! given measured length, mirroring `racer_cpu::workloads::timer_race`:
 //! a serial measured chain races a serial clock chain, and the timer
 //! reading is how many clock ops completed before the measured tail did.
+//! [`GadgetTemplate::rung`] reduces a `(template, target)` pair to
+//! exactly what `lower` reads; the search simulates each distinct rung
+//! once.
+//!
 //! Lowering is total — every template in the sampled space produces a
 //! program that assembles, runs branch-free and memory-free, and halts —
 //! which `crates/core/tests/gadget_gen.rs` pins across all three
@@ -109,8 +113,9 @@ impl ArmLayout {
 const FIELDS: usize = 8;
 
 /// A point in the racing-gadget grammar. The sampled space is small
-/// enough to enumerate (~9k points) but large enough that a 2k-candidate
-/// search covers it only partially — coverage-guided breeding matters.
+/// enough to enumerate (23,328 points) but large enough that a
+/// 2k-candidate search covers it only partially — coverage-guided
+/// breeding matters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct GadgetTemplate {
     /// FU of the measured (timed) chain.
@@ -148,7 +153,55 @@ pub struct LoweredGadget {
     pub clock_pcs: Vec<usize>,
 }
 
+/// One rung of a template's target ladder in canonical form: exactly
+/// what [`GadgetTemplate::lower`] reads for a `(template, target)` pair.
+/// `measured_scale` is folded into the measured-op count, and at zero
+/// measured ops the measured op, the layout and the fences (which then
+/// emit nothing) take fixed values. So two pairs that lower to the same
+/// program through the same arithmetic share one rung — `(scale 2,
+/// target 1)` and `(scale 1, target 2)`, or every target-0 pair that
+/// differs only in its measured arm — and a search simulates that
+/// program once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Rung {
+    /// The template with `measured_scale` 1 (and, at zero `units`, its
+    /// measured arm reset).
+    template: GadgetTemplate,
+    /// Measured ops per round: `target × measured_scale`.
+    units: usize,
+}
+
+impl Rung {
+    /// Measured ops per round.
+    #[cfg(test)]
+    pub(crate) fn units(&self) -> usize {
+        self.units
+    }
+
+    /// The program, tail pc and clock pcs of every `(template, target)`
+    /// pair this rung stands for, with `clock_len` clock ops.
+    pub fn lower(&self, clock_len: usize) -> LoweredGadget {
+        self.template.lower(self.units, clock_len)
+    }
+}
+
 impl GadgetTemplate {
+    /// The canonical rung of this template at `target`:
+    /// `self.rung(target).lower(n)` equals `self.lower(target, n)`.
+    pub fn rung(&self, target: usize) -> Rung {
+        let units = target * self.measured_scale as usize;
+        let mut template = GadgetTemplate {
+            measured_scale: 1,
+            ..*self
+        };
+        if units == 0 {
+            template.measured_op = ChainOp::Add;
+            template.layout = ArmLayout::Interleaved;
+            template.fences = 0;
+        }
+        Rung { template, units }
+    }
+
     /// Draw a template uniformly from the grammar. Field order is fixed
     /// and part of the determinism contract: `(seed) → template` must
     /// never change silently (the search's committed provenance depends
@@ -372,6 +425,74 @@ mod tests {
             "tail is the mov after the pads"
         );
         assert_eq!(lowered.clock_pcs.len(), 48);
+    }
+
+    /// Every template in the grammar: the values `sample` can draw.
+    fn grammar() -> Vec<GadgetTemplate> {
+        let mut all = Vec::new();
+        for measured_op in ChainOp::ALL {
+            for measured_scale in 1..=3 {
+                for clock_op in ChainOp::ALL {
+                    for layout in ArmLayout::ALL {
+                        for fences in 0..=2 {
+                            for pad_nops in 0..=7 {
+                                for noise_chains in 0..=3 {
+                                    for rounds in 1..=3 {
+                                        all.push(GadgetTemplate {
+                                            measured_op,
+                                            measured_scale,
+                                            clock_op,
+                                            layout,
+                                            fences,
+                                            pad_nops,
+                                            noise_chains,
+                                            rounds,
+                                        });
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        all
+    }
+
+    /// Every template × targets 0..=6: the rung lowers to the template's
+    /// own program, tail pc and clock pcs.
+    fn assert_rungs_lower_exactly(clock_len: usize) {
+        let all = grammar();
+        assert_eq!(all.len(), 23_328);
+        for tpl in &all {
+            for target in 0..=6 {
+                let (rung, own) = (
+                    tpl.rung(target).lower(clock_len),
+                    tpl.lower(target, clock_len),
+                );
+                assert!(
+                    rung.prog == own.prog
+                        && rung.measured_tail_pc == own.measured_tail_pc
+                        && rung.clock_pcs == own.clock_pcs,
+                    "{tpl:?} at target {target}, clock_len {clock_len}"
+                );
+            }
+        }
+        // The key is not vacuous: target 0 collapses to one rung per
+        // clock op × padding × noise × rounds.
+        let zero: std::collections::BTreeSet<Rung> = all.iter().map(|t| t.rung(0)).collect();
+        assert_eq!(zero.len(), 3 * 8 * 4 * 3);
+    }
+
+    #[test]
+    fn a_rung_lowers_like_every_template_it_stands_for() {
+        assert_rungs_lower_exactly(8);
+    }
+
+    #[test]
+    #[ignore = "paper scale; run in release"]
+    fn a_rung_lowers_like_every_template_it_stands_for_at_paper_clock_len() {
+        assert_rungs_lower_exactly(128);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   completion wheel, ready heaps, stall pool, store queue) belongs to
 //!   the host thread, not to the call. It is reset for every lane and
 //!   parked in a thread-local slot between calls, so a thread that makes
-//!   thousands of short calls (the gadget search scores one candidate per
+//!   thousands of short calls (the gadget search runs one ladder rung per
 //!   call) allocates its scheduling structures once.
 //!
 //! The engine never spawns threads: callers fan calls out across host
@@ -217,7 +217,7 @@ impl<I> Drop for Lanes<I> {
 /// host thread and persists across calls: a call takes the thread's
 /// context when it starts, resets it for every lane, and puts it back when
 /// the iterator drops, so a loop of calls on one thread (one gadget
-/// candidate per call) allocates its ROB ring, wheel and heaps once. A
+/// ladder rung per call) allocates its ROB ring, wheel and heaps once. A
 /// call made while another call's iterator is alive on the same thread
 /// builds its own context. Each result is bit-identical to
 /// `snap.fork().run_one(prog, Backend::EventDriven)`; the snapshots are

@@ -1,8 +1,8 @@
 //! `gadget_search_eval` — automated racing-gadget discovery.
 //!
 //! Drives `hacky_racers::gadget_search`: a MAP-Elites-style search over
-//! the racing-gadget template grammar, every candidate scored by fanning
-//! its lowered target ladder through one warmed `run_many` call. The
+//! the racing-gadget template grammar, every candidate scored by one
+//! traced run per target on forks of a warmed snapshot. The
 //! payload reports the hand-written paper-racer baseline, the
 //! per-generation log, the final novelty archive, the best and
 //! finest-resolution discoveries (with the discovered-vs-hand-written
@@ -52,6 +52,16 @@ fn run(ctx: &RunContext) -> Result<ScenarioOutput, LabError> {
     let clock_len = ctx.params.usize("clock_len");
     let workers = ctx.params.usize("workers");
     let checkpoint_dir = ctx.params.str("checkpoint_dir").to_string();
+    // Scoring compares adjacent targets and judges stealth on the last
+    // one, so a ladder that does not rise would rank inverted timers best.
+    if targets.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(LabError::param(
+            "gadget_search_eval",
+            format!(
+                "parameter \"targets\": the ladder must be strictly ascending, got {targets:?}"
+            ),
+        ));
+    }
 
     let cfg = SearchConfig {
         seed: ctx.seed,

@@ -271,6 +271,32 @@ fn trials_below_one_are_param_errors() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
+/// The gadget search scores a ladder by comparing adjacent targets and
+/// judges stealth on the last one: a ladder that is not strictly
+/// ascending is a parameter error (exit 5), not a ranking of inverted
+/// timers.
+#[test]
+fn non_ascending_gadget_ladders_are_param_errors() {
+    let bin = env!("CARGO_BIN_EXE_racer-lab");
+    let tmp = std::env::temp_dir().join(format!("racer-lab-ladder-{}", std::process::id()));
+    for targets in ["4,0", "2,2"] {
+        let out = Command::new(bin)
+            .args(["run", "gadget_search_eval", "--quick", "--set"])
+            .arg(format!("targets={targets}"))
+            .arg("--out")
+            .arg(&tmp)
+            .output()
+            .expect("spawn racer-lab");
+        assert_eq!(out.status.code(), Some(5), "targets={targets}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("parameter \"targets\": the ladder must be strictly ascending"),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
 /// Every list parameter is a sweep axis: an empty override is a parameter
 /// error (exit 5) naming the parameter, not a scenario panic on an empty
 /// ladder.
