@@ -3,7 +3,7 @@
 //! transmit-1 — "there is still almost no overlap between the two
 //! transmissions".
 
-use crate::experiments::run_lanes_batched;
+use crate::experiments::run_lanes;
 use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_cpu::CpuConfig;
@@ -29,8 +29,8 @@ pub struct DistributionResult {
 ///
 /// The magnifier program depends only on rounds and L1 geometry —
 /// identical across every noisy machine — so all trials×2 lanes share one
-/// program (assembled once, carrying its µop table) and run as chunked
-/// fork-engine lanes across host cores (`run_lanes_batched`). Lanes
+/// program (assembled once, carrying its µop table) and run as
+/// fork-engine lanes, one host-parallel item each (`run_lanes`). Lanes
 /// record no load events: only cycle counts are read.
 pub fn figure10(trials: usize, rounds: usize) -> DistributionResult {
     let mut transmit1_ms = Vec::with_capacity(trials);
@@ -45,7 +45,7 @@ pub fn figure10(trials: usize, rounds: usize) -> DistributionResult {
         let prog =
             PlruMagnifier::with(first.layout(), 5, rounds).program(first, PlruInput::Reorder);
         let lanes: Vec<(Machine, &Program)> = machines.into_iter().map(|m| (m, &prog)).collect();
-        for (i, r) in run_lanes_batched(&lanes).iter().enumerate() {
+        for (i, r) in run_lanes(&lanes).iter().enumerate() {
             let a_first = i % 2 == 0;
             push_ms(
                 &mut transmit1_ms,
@@ -150,7 +150,7 @@ mod tests {
     fn lanes_record_no_load_events() {
         let m = prepared_machine(0, true, 50);
         let prog = PlruMagnifier::with(m.layout(), 5, 50).program(&m, PlruInput::Reorder);
-        let r = &run_lanes_batched(&[(m, &prog)])[0];
+        let r = &run_lanes(&[(m, &prog)])[0];
         assert!(r.halted && r.committed > 300);
         assert!(r.loads.is_empty(), "{} load events kept", r.loads.len());
     }

@@ -18,39 +18,23 @@
 //! versions while `racer-lab run <scenario>` runs paper-scale sweeps.
 
 use crate::machine::Machine;
-use racer_cpu::batch::{max_threads, par_map};
+use racer_cpu::batch::par_map;
+use racer_cpu::engine::fork_and_run;
 use racer_cpu::RunResult;
 use racer_isa::Program;
 
-/// Most lanes one [`Machine::sweep`] chunk takes. Chunks trade two costs:
-/// within a chunk, lanes share one reused scheduling context; across
-/// chunks, [`par_map`] balances load between host cores. Measured on
-/// `timer_mitigations_eval` when runs still decoded their program, one
-/// `par_map` item per lane (a decode and a context allocation per lane)
-/// ran 1.24× slower, and one chunk per worker 1.61× slower (uneven trial
-/// lengths leave cores idle); chunks of at most 8 beat both.
-const LANES_PER_BATCH: usize = 8;
-
-/// Run prepared heterogeneous `(machine, program)` lanes batch-first:
-/// lanes are split into ordered chunks sized for the host core count
-/// (capped at [`LANES_PER_BATCH`] for load balance), each chunk runs as
-/// one [`Machine::sweep`], and the chunks fan out through [`par_map`] —
-/// the fan-out every batched experiment shares.
-/// Results come back in lane order; chunking never changes them (lanes
-/// are independent machines).
-pub(crate) fn run_lanes_batched(lanes: &[(Machine, &Program)]) -> Vec<RunResult> {
-    if lanes.is_empty() {
-        return Vec::new();
-    }
-    let chunk = lanes
-        .len()
-        .div_ceil(max_threads())
-        .clamp(1, LANES_PER_BATCH);
-    let chunks: Vec<&[(Machine, &Program)]> = lanes.chunks(chunk).collect();
-    par_map(&chunks, |c| Machine::sweep(c.iter().map(|(m, p)| (m, *p))))
-        .into_iter()
-        .flatten()
-        .collect()
+/// Run prepared heterogeneous `(machine, program)` lanes, one [`par_map`]
+/// item per lane: each lane forks its machine's current state and runs
+/// to completion ([`fork_and_run`], which keeps the host thread's
+/// scheduling context across calls). Results come back in lane order,
+/// bit-identical to running each lane on its own fork; the machines are
+/// untouched. This is the fan-out every batched experiment shares.
+pub(crate) fn run_lanes(lanes: &[(Machine, &Program)]) -> Vec<RunResult> {
+    par_map(lanes, |(m, p)| {
+        let snap = m.snapshot();
+        let r = fork_and_run([(&snap, *p)]).next();
+        r.expect("one lane in, one result out")
+    })
 }
 
 pub mod countermeasures;
@@ -65,3 +49,46 @@ pub mod repetition_figure;
 pub mod spectre_eval;
 pub mod timer_mitigations;
 pub mod window_ablation;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use racer_isa::{Asm, MemOperand};
+
+    /// A short load-heavy probe whose timing is state-sensitive.
+    fn probe(touch: u64) -> Program {
+        let mut asm = Asm::new();
+        let r = asm.reg();
+        for i in 0..touch {
+            asm.load(r, MemOperand::abs(0x8000 + i * 64));
+        }
+        asm.halt();
+        asm.assemble().unwrap()
+    }
+
+    #[test]
+    fn run_lanes_matches_per_machine_runs_over_heterogeneous_states() {
+        // Three differently-prepared machines × two programs.
+        let prepared = |warm: u64| {
+            let mut m = Machine::baseline();
+            m.run(&probe(warm));
+            m
+        };
+        let progs = [probe(8), probe(20)];
+        let lanes: Vec<(Machine, &Program)> = [0, 16, 40]
+            .into_iter()
+            .flat_map(|warm| progs.iter().map(move |p| (prepared(warm), p)))
+            .collect();
+        let got = run_lanes(&lanes);
+        assert_eq!(got.len(), lanes.len());
+        for (i, ((m, p), got)) in lanes.iter().zip(&got).enumerate() {
+            let want = Machine::from_snapshot(&m.snapshot()).run(p);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "lane #{i} diverges from a per-machine run"
+            );
+        }
+        assert!(run_lanes(&[]).is_empty());
+    }
+}

@@ -9,7 +9,7 @@
 //! classification accuracy. Because PLRU magnification is unbounded, there
 //! is a round count that defeats *every* finite resolution.
 
-use crate::experiments::run_lanes_batched;
+use crate::experiments::run_lanes;
 use crate::machine::Machine;
 use crate::magnify::{PlruInput, PlruMagnifier};
 use racer_cpu::CpuConfig;
@@ -49,8 +49,8 @@ fn build_timer(name: &str, seed: u64) -> Box<dyn Timer> {
 /// `timer.measure(0, cycles_to_ns(cycles))` of the same cycle count. The
 /// sweep therefore runs the rounds × trial × bit cell grid exactly once
 /// through the fork engine — one shared program per rounds value (the
-/// magnifier program depends only on rounds and L1 geometry), lanes
-/// chunked across host cores — and scores the cycles under every timer.
+/// magnifier program depends only on rounds and L1 geometry), one lane
+/// per host-parallel item — and scores the cycles under every timer.
 ///
 /// # Panics
 ///
@@ -79,7 +79,7 @@ pub fn sweep(timers: &[&str], round_counts: &[usize], trials: usize) -> Vec<Miti
             .collect();
         let lanes: Vec<(Machine, &Program)> =
             cells.into_iter().map(|(m, ri)| (m, &progs[ri])).collect();
-        run_lanes_batched(&lanes)
+        run_lanes(&lanes)
     };
     let cfg = CpuConfig::coffee_lake();
     let mut out = Vec::new();
@@ -292,7 +292,7 @@ mod tests {
         // lane would otherwise log six load events per round.
         let m = prepared_machine(0, true, 50);
         let prog = PlruMagnifier::with(m.layout(), 5, 50).program(&m, PlruInput::Reorder);
-        let r = &run_lanes_batched(&[(m, &prog)])[0];
+        let r = &run_lanes(&[(m, &prog)])[0];
         assert!(r.halted && r.committed > 300);
         assert!(r.loads.is_empty(), "{} load events kept", r.loads.len());
     }

@@ -2,7 +2,6 @@
 //! timer plumbing the experiments share.
 
 use crate::layout::Layout;
-use racer_cpu::engine::fork_and_run;
 use racer_cpu::{
     Backend, Countermeasure, Cpu, CpuConfig, RecordLevel, RunResult, Snapshot, SnapshotCache,
 };
@@ -155,15 +154,9 @@ impl Machine {
     }
 
     /// Run a program on the event-driven backend, advancing the machine's
-    /// wall clock.
-    pub fn run(&mut self, prog: &Program) -> RunResult {
-        self.run_with(prog, Backend::EventDriven)
-    }
-
-    /// Run a program with an explicit [`Backend`], advancing the machine's
     /// wall clock by the program's simulated duration.
-    pub fn run_with(&mut self, prog: &Program, backend: Backend) -> RunResult {
-        let r = self.cpu.run_one(prog, backend);
+    pub fn run(&mut self, prog: &Program) -> RunResult {
+        let r = self.cpu.run_one(prog, Backend::EventDriven);
         self.elapsed_ns += self.cpu.config().cycles_to_ns(r.cycles);
         self.fast_forwarded += r.fast_forwarded;
         r
@@ -187,46 +180,6 @@ impl Machine {
             elapsed_ns: 0.0,
             fast_forwarded: 0,
         }
-    }
-
-    /// Run each of `progs` on an independent fork of this machine's
-    /// *current* state — parallel universes, not a sequence: every lane
-    /// observes the same caches/predictor, no lane sees another's
-    /// effects, and the machine itself (state and wall clock) is
-    /// untouched. Results come back in input order, bit-identical to
-    /// cloning the machine per program and calling [`Machine::run`] on
-    /// each clone. One snapshot capture and the host thread's reused
-    /// scheduling context (kept across calls by
-    /// [`fork_and_run`]) make this the cheap way to fan a trial grid out
-    /// from one prepared state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-thread (SMT) configuration.
-    pub fn batch(&self, progs: &[Program]) -> Vec<RunResult> {
-        self.snapshot().run_many(progs)
-    }
-
-    /// Run a heterogeneous sweep: each `(machine, program)` lane forks
-    /// its machine's current state and runs to completion
-    /// ([`fork_and_run`]). Results in input order, bit-identical to calling
-    /// [`Machine::run`] per lane; the machines themselves are untouched.
-    /// This is the batch-first backbone for experiments whose trial
-    /// points each *prepare* a different machine (planted secrets, jitter
-    /// seeds, warmed sets) but run from a shared program pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any machine has a multi-thread (SMT) configuration.
-    pub fn sweep<'a, I>(lanes: I) -> Vec<RunResult>
-    where
-        I: IntoIterator<Item = (&'a Machine, &'a Program)>,
-    {
-        let lanes: Vec<(Snapshot, &Program)> = lanes
-            .into_iter()
-            .map(|(machine, prog)| (machine.snapshot(), prog))
-            .collect();
-        fork_and_run(lanes.iter().map(|(snap, prog)| (snap, *prog))).collect()
     }
 
     /// Run a program and return just its cycle count.
@@ -268,10 +221,9 @@ impl Machine {
 
     /// Body rounds skipped by steady-state fast-forward
     /// ([`RunResult::fast_forwarded`], summed) over the clock-advancing
-    /// runs on this machine ([`Machine::run`]/[`Machine::run_with`]/
-    /// [`Machine::run_timed`]; [`Machine::batch`]/[`Machine::sweep`] fork
-    /// and leave the machine untouched). It tells whether a driver's
-    /// timed magnifier runs took the fast path.
+    /// runs on this machine ([`Machine::run`]/[`Machine::run_timed`];
+    /// runs on a fork leave the machine untouched). It tells whether a
+    /// driver's timed magnifier runs took the fast path.
     pub fn fast_forwarded_total(&self) -> u64 {
         self.fast_forwarded
     }
@@ -391,47 +343,5 @@ mod tests {
         let a = cached.run(&p);
         let b = direct.run(&p);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn batch_matches_sequential_forks_and_preserves_the_machine() {
-        let mut m = Machine::baseline();
-        m.run(&probe(24)); // dirty the caches so state matters
-        let clock = m.elapsed_ns();
-        let progs: Vec<Program> = (1..=6).map(|i| probe(i * 4)).collect();
-        let batched = m.batch(&progs);
-        assert_eq!(m.elapsed_ns(), clock, "batch must not advance the clock");
-        for (i, (p, got)) in progs.iter().zip(&batched).enumerate() {
-            let want = Machine::from_snapshot(&m.snapshot()).run(p);
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{want:?}"),
-                "batch lane #{i} diverges from a per-machine fork"
-            );
-        }
-    }
-
-    #[test]
-    fn sweep_matches_per_machine_runs_over_heterogeneous_states() {
-        // Three differently-prepared machines × two programs.
-        let mut machines: Vec<Machine> = (0..3).map(|_| Machine::baseline()).collect();
-        machines[1].run(&probe(16));
-        machines[2].run(&probe(40));
-        let progs = [probe(8), probe(20)];
-        let lanes: Vec<(&Machine, &Program)> = machines
-            .iter()
-            .flat_map(|m| progs.iter().map(move |p| (m, p)))
-            .collect();
-        let got = Machine::sweep(lanes.iter().copied());
-        assert_eq!(got.len(), machines.len() * progs.len());
-        for (i, ((m, p), got)) in lanes.iter().zip(&got).enumerate() {
-            let want = Machine::from_snapshot(&m.snapshot()).run(p);
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{want:?}"),
-                "sweep lane #{i} diverges from a per-machine run"
-            );
-        }
-        assert!(Machine::sweep(std::iter::empty()).is_empty());
     }
 }

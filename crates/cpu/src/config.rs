@@ -302,6 +302,7 @@ pub struct CpuConfig {
     /// If set, the pipeline drains every `n` cycles, modelling the OS timer
     /// interrupt that bounds the stateless arithmetic magnifier (§7.5: "the
     /// total run-time approaches the interval of timer interrupts (4ms)").
+    /// `None` means no interrupts; an interval must be positive.
     pub interrupt_interval: Option<u64>,
     /// Safety valve: a single program run aborts after this many cycles.
     pub max_run_cycles: u64,
@@ -412,6 +413,10 @@ impl CpuConfig {
         );
         assert!(self.clock_mhz > 0, "clock must be positive");
         assert!(self.threads > 0, "need at least one hardware thread");
+        assert!(
+            self.interrupt_interval != Some(0),
+            "interrupt interval must be positive (None disables interrupts)"
+        );
     }
 }
 
@@ -463,6 +468,16 @@ mod tests {
     fn zero_rob_rejected() {
         let cfg = CpuConfig {
             rob_size: 0,
+            ..CpuConfig::default()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "interrupt interval must be positive")]
+    fn zero_interrupt_interval_rejected() {
+        let cfg = CpuConfig {
+            interrupt_interval: Some(0),
             ..CpuConfig::default()
         };
         cfg.validate();

@@ -198,7 +198,9 @@ impl Steady {
         let cycles = cur.cycle - old.cycle;
         cycles > 0
             && (cur.stall_parks == old.stall_parks || cycles.is_multiple_of(DRAIN_STRIDE))
-            && interrupt_interval(p).is_none_or(|i| old.cycle / i == cur.cycle / i)
+            && p.cfg
+                .interrupt_interval
+                .is_none_or(|i| old.cycle / i == cur.cycle / i)
             && cur.key == old.key
             && cur.hier.same_state(&old.hier)
     }
@@ -222,18 +224,12 @@ impl Steady {
     fn jump_periods(&self, p: &Pipeline<'_>, per: &Period, cur: &Sample) -> Option<u64> {
         let mut j = ((self.region.end() - p.s.fetch_pc) / per.pcs) as u64;
         let mut horizon = p.cfg.max_run_cycles;
-        if let Some(i) = interrupt_interval(p) {
+        if let Some(i) = p.cfg.interrupt_interval {
             horizon = horizon.min((cur.cycle / i + 1).saturating_mul(i));
         }
         j = j.min((horizon - 1 - cur.cycle) / per.cycles);
         (j > 0).then_some(j)
     }
-}
-
-/// The timer-interrupt interval, if interrupts fire at all (the cycle loop
-/// never fires one for an interval of 0).
-fn interrupt_interval(p: &Pipeline<'_>) -> Option<u64> {
-    p.cfg.interrupt_interval.filter(|&i| i > 0)
 }
 
 /// What one period advances.

@@ -17,8 +17,6 @@
 //!   per static instruction when a [`Program`] is built;
 //! * [`Asm`] — a builder/assembler DSL with labels and a fresh-register
 //!   allocator, used by `hacky-racers` to generate gadget code;
-//! * [`deps`] — register dataflow analysis (the paper's §4 *chains* and
-//!   *paths* are properties of this graph);
 //! * [`interp`] — an architectural (timing-free) reference interpreter used
 //!   for differential testing against the out-of-order core.
 //!
@@ -42,7 +40,6 @@
 
 pub mod asm;
 pub mod decode;
-pub mod deps;
 pub mod instr;
 pub mod interp;
 pub mod mem;

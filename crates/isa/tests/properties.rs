@@ -1,8 +1,8 @@
 //! Property-based tests for the ISA layer: assembler/label correctness and
-//! dataflow-analysis invariants over randomized programs.
+//! source-register invariants over randomized programs.
 
 use proptest::prelude::*;
-use racer_isa::{deps, interp, AluOp, Asm, Cond, DataMemory, Instr, MemOperand, Operand, Reg};
+use racer_isa::{interp, AluOp, Asm, Cond, DataMemory, Instr, MemOperand, Operand, Reg};
 
 fn arb_alu_op() -> impl Strategy<Value = AluOp> {
     prop_oneof![
@@ -111,29 +111,6 @@ proptest! {
         match prog[0] {
             Instr::Branch { target, .. } => prop_assert_eq!(target, 1 + pre),
             ref other => prop_assert!(false, "expected branch, got {}", other),
-        }
-    }
-
-    /// `critical_path_length` is monotone: appending an instruction never
-    /// shortens the critical path.
-    #[test]
-    fn critical_path_is_monotone(lens in proptest::collection::vec(1usize..6, 1..8)) {
-        let mut asm = Asm::new();
-        let seed = asm.reg();
-        let mut prev = seed;
-        for _ in &lens {
-            let n = asm.reg();
-            asm.add(n, prev, 1i64);
-            prev = n;
-        }
-        asm.halt();
-        let prog = asm.assemble().unwrap();
-        let lat = |_: &Instr| 1u64;
-        let mut last = 0;
-        for end in 1..prog.len() {
-            let cp = deps::critical_path_length(&prog, 0..end, lat);
-            prop_assert!(cp >= last);
-            last = cp;
         }
     }
 
