@@ -62,9 +62,8 @@ pub fn backend_bound_detector(profile: &CounterProfile) -> bool {
 /// Profile the workload suite: the three gadget families plus two benign
 /// programs (a pointer-chasing list traversal and a compute loop).
 ///
-/// The five profiles are independent — each prepares its own machine
-/// (forked from the process-wide snapshot cache by
-/// [`Machine::baseline`]) — so they fan out across host cores, in
+/// The five profiles are independent — each prepares its own
+/// [`Machine::baseline`] — so they fan out across host cores, in
 /// declaration order.
 pub fn profile_suite() -> Vec<CounterProfile> {
     let profiles: [fn() -> CounterProfile; 5] = [

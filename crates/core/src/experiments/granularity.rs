@@ -108,9 +108,7 @@ fn op_name(op: AluOp) -> &'static str {
 /// Every point is an independent measurement on a fresh [`Machine`], so the
 /// sweep fans out across host cores via [`racer_cpu::batch::par_map`] —
 /// results are bit-identical to the sequential loop, just wall-clock
-/// faster. Each point's machine forks the process-wide snapshot cache
-/// ([`Machine::baseline`] builds the baseline configuration once per
-/// process); the binary search inside `measure_ref_ops` stays serial per
+/// faster. The binary search inside `measure_ref_ops` stays serial per
 /// point because each probe length depends on the previous probe's
 /// outcome.
 pub fn measure_series(

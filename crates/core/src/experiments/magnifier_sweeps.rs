@@ -135,14 +135,11 @@ pub fn figure12(
     delay: usize,
     interrupt_cycles: Option<u64>,
 ) -> SweepSeries {
-    // Independent per-stage machines: fan out across host cores. Every
-    // point shares one (config, hierarchy) pair, so the machines fork
-    // the process-wide snapshot cache — built once, bit-identical to
-    // from-scratch construction.
+    // Independent per-stage machines: fan out across host cores.
     let points = racer_cpu::batch::par_map(repeat_points, |&stages| {
         let mut cfg = CpuConfig::coffee_lake();
         cfg.interrupt_interval = interrupt_cycles;
-        let mut m = Machine::with_cached(cfg, HierarchyConfig::small_plru());
+        let mut m = Machine::with(cfg, HierarchyConfig::small_plru());
         let mut mag = ArithmeticMagnifier::new(Layout::default());
         mag.stages = stages;
         let amp = mag.amplification(&mut m, delay).max(0);

@@ -24,15 +24,13 @@ pub struct NoisePoint {
 /// Leak `secret` at each jitter level; report accuracy.
 ///
 /// The jitter levels are independent full attacks on independent
-/// machines, so they fan out across host cores in input order; each
-/// level's machine forks the process-wide snapshot cache (one distinct
-/// hierarchy config per level, so repeated sweeps rebuild nothing).
+/// machines, so they fan out across host cores in input order.
 pub fn sweep(secret: &[u8], jitter_levels: &[u64]) -> Vec<NoisePoint> {
     racer_cpu::batch::par_map(jitter_levels, |&jitter| {
         let mut hier = HierarchyConfig::small_plru();
         hier.memory_jitter = jitter;
         hier.seed = 0xA11CE ^ jitter;
-        let mut m = Machine::with_cached(CpuConfig::coffee_lake().with_load_recording(), hier);
+        let mut m = Machine::with(CpuConfig::coffee_lake().with_load_recording(), hier);
         let atk = SpectreBack::new(m.layout());
         atk.plant_secret(&mut m, secret);
         let mut timer = CoarseTimer::browser_5us();

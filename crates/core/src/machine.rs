@@ -2,9 +2,7 @@
 //! timer plumbing the experiments share.
 
 use crate::layout::Layout;
-use racer_cpu::{
-    Backend, Countermeasure, Cpu, CpuConfig, RecordLevel, RunResult, Snapshot, SnapshotCache,
-};
+use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RecordLevel, RunResult, Snapshot};
 use racer_isa::Program;
 use racer_mem::{Addr, CacheConfig, HierarchyConfig, ReplacementKind};
 use racer_time::Timer;
@@ -37,7 +35,10 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Build from explicit configurations.
+    /// Build from explicit configurations. A cold machine is cheap: each
+    /// cache level starts as one pristine chunk shared by all its sets
+    /// (see [`racer_mem::Cache::new`]), so building one per trial costs
+    /// microseconds.
     pub fn with(cpu_cfg: CpuConfig, hier_cfg: HierarchyConfig) -> Self {
         Machine {
             cpu: Cpu::new(cpu_cfg, hier_cfg),
@@ -47,39 +48,15 @@ impl Machine {
         }
     }
 
-    /// Like [`Machine::with`], but forking the process-wide
-    /// [`SnapshotCache`] instead of constructing the core and hierarchy
-    /// from scratch: the first call per `(cpu_cfg, hier_cfg)` pair builds
-    /// and caches a cold snapshot, every later call pays only a
-    /// copy-on-write fork. Forks are bit-identical to a fresh
-    /// construction, so this is a pure wall-clock optimisation for
-    /// experiments that stamp out many machines of one configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu_cfg` fails validation or is not single-thread
-    /// (snapshots capture single-thread machines — use [`Machine::with`]
-    /// for SMT configurations).
-    pub fn with_cached(cpu_cfg: CpuConfig, hier_cfg: HierarchyConfig) -> Self {
-        Self::from_snapshot(&SnapshotCache::global().cold(cpu_cfg, hier_cfg))
-    }
-
-    /// Tree-PLRU 4-way L1 machine (the default attack target). Forked
-    /// from the process-wide [`SnapshotCache`] — bit-identical to a
-    /// from-scratch construction, built once per process.
+    /// Tree-PLRU 4-way L1 machine (the default attack target).
     pub fn baseline() -> Self {
-        Self::with_cached(
+        Self::with(
             CpuConfig::coffee_lake().with_load_recording(),
             HierarchyConfig::small_plru(),
         )
     }
 
     /// Baseline machine with DRAM jitter for noisy-distribution experiments.
-    ///
-    /// Deliberately *not* routed through the [`SnapshotCache`]: every
-    /// trial uses a distinct `seed`, so each call is a distinct cache key
-    /// — caching would only keep one never-reused snapshot per trial.
-    /// (Same for [`Machine::random_l1`].)
     pub fn noisy(seed: u64) -> Self {
         Self::with(
             CpuConfig::coffee_lake().with_load_recording(),
@@ -130,7 +107,7 @@ impl Machine {
             replacement: ReplacementKind::TreePlru,
             seed: 0x78,
         };
-        Self::with_cached(CpuConfig::coffee_lake().with_load_recording(), hier)
+        Self::with(CpuConfig::coffee_lake().with_load_recording(), hier)
     }
 
     /// Change the modelled countermeasure.

@@ -249,14 +249,14 @@ type CacheKey = (CpuConfig, HierarchyConfig, Option<(Program, usize)>);
 /// A process-wide cache of warm [`Snapshot`]s, keyed by *(core config,
 /// hierarchy config, warmup program × run count)*.
 ///
-/// Scenarios stamp out hundreds of machines that share a [`CpuConfig`]
-/// and a [`HierarchyConfig`]; each construction re-allocates the cache
-/// hierarchy and (for warmed sweeps) re-runs the warmup program. The
-/// cache builds each distinct configuration **once per process** and
-/// hands every later request an O(1) [`Snapshot`] clone whose forks are
-/// bit-identical to a freshly constructed (and identically warmed)
-/// machine — the byte-identity argument the batch-first experiment
-/// pipeline rests on.
+/// A search or sweep may stamp out thousands of machines that share a
+/// [`CpuConfig`], a [`HierarchyConfig`] and a warmup program; each
+/// construction would re-run the warmup. (A cold machine needs no cache:
+/// its hierarchy starts as one shared pristine chunk per level, so
+/// [`Cpu::new`] is already cheap.) The cache builds each distinct
+/// configuration **once per process** and hands every later request an
+/// O(1) [`Snapshot`] clone whose forks are bit-identical to a freshly
+/// constructed and identically warmed machine.
 ///
 /// Keying is exact: a lookup matches only when the configs and the warmup
 /// program compare equal (`Eq`), so distinct configurations *never* share
@@ -269,10 +269,10 @@ type CacheKey = (CpuConfig, HierarchyConfig, Option<(Program, usize)>);
 /// of other keys never wait behind a warmup. A build that panics (an
 /// invalid [`CpuConfig`], say) leaves its slot empty, and the next lookup
 /// of that key builds again. Nothing is evicted: the whole scenario suite
-/// builds about a dozen keys.
+/// builds one key, the gadget search's evaluation machine.
 ///
-/// [`SnapshotCache::global`] is the shared instance the experiment
-/// pipeline uses; independent instances can be built for tests.
+/// [`SnapshotCache::global`] is the shared instance the gadget search
+/// uses; independent instances can be built for tests.
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
     slots: Mutex<Vec<(CacheKey, Arc<OnceLock<Snapshot>>)>>,
@@ -294,17 +294,6 @@ impl SnapshotCache {
     pub fn global() -> &'static SnapshotCache {
         static GLOBAL: SnapshotCache = SnapshotCache::new();
         &GLOBAL
-    }
-
-    /// A snapshot of a cold machine under `(cfg, hier_cfg)` — cached
-    /// [`Snapshot::cold`]. Forks are bit-identical to
-    /// `Cpu::new(cfg, hier_cfg)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation or is not single-thread.
-    pub fn cold(&self, cfg: CpuConfig, hier_cfg: HierarchyConfig) -> Snapshot {
-        self.warmed(cfg, hier_cfg, None)
     }
 
     /// A snapshot of a machine under `(cfg, hier_cfg)` warmed by running

@@ -389,7 +389,11 @@ fn snapshot_cache_builds_outside_the_lock() {
         while cache.counters().misses == 0 {
             std::thread::yield_now();
         }
-        cache.cold(CpuConfig::coffee_lake(), HierarchyConfig::small_plru());
+        cache.warmed(
+            CpuConfig::coffee_lake(),
+            HierarchyConfig::small_plru(),
+            None,
+        );
         assert!(
             !a.is_finished(),
             "a lookup of another key waited for a warmup"
@@ -439,7 +443,8 @@ fn snapshot_cache_recovers_after_a_panicking_build() {
         rob_size: 0,
         ..CpuConfig::coffee_lake()
     };
-    let build = std::panic::catch_unwind(|| cache.cold(invalid, HierarchyConfig::coffee_lake()));
+    let build =
+        std::panic::catch_unwind(|| cache.warmed(invalid, HierarchyConfig::coffee_lake(), None));
     assert!(build.is_err(), "an invalid config must fail its build");
     assert!(cache.is_empty(), "a failed build adds no snapshot");
     assert_eq!(
@@ -448,13 +453,18 @@ fn snapshot_cache_recovers_after_a_panicking_build() {
         "the failed build counts its miss"
     );
     // The key's slot stayed empty: the next lookup builds (and fails) again.
-    let retry = std::panic::catch_unwind(|| cache.cold(invalid, HierarchyConfig::coffee_lake()));
+    let retry =
+        std::panic::catch_unwind(|| cache.warmed(invalid, HierarchyConfig::coffee_lake(), None));
     assert!(retry.is_err());
     assert_eq!(cache.counters().misses, 2, "a failed build is never a hit");
 
     // The panic left the cache usable; later lookups still work.
     let before = cache.counters();
-    let snap = cache.cold(CpuConfig::coffee_lake(), HierarchyConfig::coffee_lake());
+    let snap = cache.warmed(
+        CpuConfig::coffee_lake(),
+        HierarchyConfig::coffee_lake(),
+        None,
+    );
     let after = cache.counters();
     assert_eq!(after.hits, before.hits);
     assert_eq!(after.misses, before.misses + 1, "the lookup is a miss");

@@ -16,6 +16,14 @@
 //! they touch, not the level's size. Value semantics are unchanged: a clone
 //! is observationally an independent deep copy.
 //!
+//! A cold level is built the same way: [`Cache::new`] allocates one
+//! pristine chunk and points every slot at it, so a fresh machine's
+//! memory and build cost scale with the sets it touches, not with the
+//! level's size (a Coffee-Lake hierarchy is three chunk allocations, not
+//! 145). Random replacement is the exception: its per-set generators are
+//! seeded from the global set index, so each of its chunks is built
+//! separately.
+//!
 //! The boxed per-set implementation ([`CacheSet`](crate::CacheSet)) is
 //! retained as the reference model; the differential proptest in
 //! `crates/mem/tests/differential.rs` pins the two bit-identical, and
@@ -140,7 +148,8 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Build a cache from `cfg`.
+    /// Build a cold cache from `cfg`: its chunk slots share pristine
+    /// storage until written (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -153,21 +162,27 @@ impl Cache {
         );
         assert!(cfg.ways >= 1, "need at least one way");
         let chunk_sets = cfg.sets.min(SETS_PER_CHUNK);
-        let chunks = (0..cfg.sets / chunk_sets)
-            .map(|c| {
-                Arc::new(Chunk {
-                    tags: vec![0; chunk_sets * cfg.ways],
-                    valid: vec![0; chunk_sets],
-                    policy: PackedPolicy::new_at_offset(
-                        cfg.replacement,
-                        chunk_sets,
-                        cfg.ways,
-                        cfg.seed,
-                        c * chunk_sets,
-                    ),
-                })
+        let num_chunks = cfg.sets / chunk_sets;
+        let pristine = |c: usize| {
+            Arc::new(Chunk {
+                tags: vec![0; chunk_sets * cfg.ways],
+                valid: vec![0; chunk_sets],
+                policy: PackedPolicy::new_at_offset(
+                    cfg.replacement,
+                    chunk_sets,
+                    cfg.ways,
+                    cfg.seed,
+                    c * chunk_sets,
+                ),
             })
-            .collect();
+        };
+        // Random replacement seeds each set's generator from its global
+        // index, so only its chunks differ by position.
+        let chunks = if cfg.replacement == ReplacementKind::Random {
+            (0..num_chunks).map(pristine).collect()
+        } else {
+            vec![pristine(0); num_chunks]
+        };
         Cache {
             ways: cfg.ways,
             chunk_shift: chunk_sets.trailing_zeros(),
@@ -617,6 +632,86 @@ mod tests {
         // …without becoming visible to the original.
         assert!(!base.probe(LineAddr(4096)));
         assert!(fork.probe(LineAddr(4096)));
+    }
+
+    /// Distinct chunk allocations behind `c`'s slots.
+    fn allocations(c: &Cache) -> usize {
+        let mut ptrs: Vec<_> = c.chunks.iter().map(Arc::as_ptr).collect();
+        ptrs.sort();
+        ptrs.dedup();
+        ptrs.len()
+    }
+
+    fn l2_with(replacement: ReplacementKind) -> CacheConfig {
+        CacheConfig {
+            replacement,
+            ..CacheConfig::l2_coffee_lake()
+        }
+    }
+
+    #[test]
+    fn a_fresh_level_is_one_pristine_chunk_shared_by_every_slot() {
+        for kind in [
+            ReplacementKind::TreePlru,
+            ReplacementKind::Lru,
+            ReplacementKind::Fifo,
+            ReplacementKind::Srrip,
+        ] {
+            let c = Cache::new(l2_with(kind));
+            assert_eq!(c.num_chunks(), 16);
+            assert_eq!(allocations(&c), 1, "{kind:?}");
+            assert_eq!(Arc::strong_count(&c.chunks[0]), 16, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn one_write_materialises_one_private_chunk_and_reads_none() {
+        let mut c = Cache::new(CacheConfig::l2_coffee_lake());
+        let line = LineAddr(0x1234);
+        assert_eq!(c.lookup(line), None);
+        assert!(!c.probe(line));
+        assert!(!c.access(line), "a miss only counts");
+        let _ = c.set(c.set_index(line)).eviction_candidate();
+        let _ = c.set(0).resident_lines().count();
+        assert_eq!(allocations(&c), 1, "reads materialise nothing");
+
+        c.fill(line);
+        assert_eq!(allocations(&c), 2);
+        let written = c.set_index(line) >> c.chunk_shift;
+        assert_eq!(Arc::strong_count(&c.chunks[written]), 1);
+        let other = (written + 1) % c.num_chunks();
+        assert_eq!(Arc::strong_count(&c.chunks[other]), 15);
+        assert!(c.probe(line));
+    }
+
+    #[test]
+    fn a_random_level_keeps_a_chunk_per_slot_seeded_by_position() {
+        let cfg = l2_with(ReplacementKind::Random);
+        let c = Cache::new(cfg);
+        assert_eq!(allocations(&c), c.num_chunks());
+        for (i, chunk) in c.chunks.iter().enumerate() {
+            assert_eq!(Arc::strong_count(chunk), 1);
+            let seeded = PackedPolicy::new_at_offset(
+                cfg.replacement,
+                SETS_PER_CHUNK,
+                cfg.ways,
+                cfg.seed,
+                i * SETS_PER_CHUNK,
+            );
+            assert_eq!(chunk.policy, seeded, "chunk {i}");
+        }
+    }
+
+    #[test]
+    fn unshare_on_a_fresh_level_makes_every_slot_private() {
+        let fresh = Cache::new(CacheConfig::l2_coffee_lake());
+        let mut private = fresh.clone();
+        private.unshare();
+        assert_eq!(allocations(&private), private.num_chunks());
+        assert!(private.chunks.iter().all(|c| Arc::strong_count(c) == 1));
+        assert_eq!(private.shared_chunks_with(&fresh), 0);
+        assert!(private.same_state(&fresh));
+        assert_eq!(allocations(&fresh), 1, "the original still shares");
     }
 
     #[test]

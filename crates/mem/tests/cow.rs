@@ -76,6 +76,40 @@ fn unshared_chunks(h: &Hierarchy, base: &Hierarchy) -> [usize; 3] {
 }
 
 proptest! {
+    /// A fresh hierarchy, whose cold levels share one pristine chunk
+    /// across all their slots, behaves exactly like a fresh hierarchy
+    /// with every chunk private: same per-op outcomes and counters, and
+    /// the same state at the end. Coffee-lake, with a tree-PLRU or a
+    /// random-replacement L1 (whose chunks are built per position, not
+    /// shared). Lines spread over sets in different chunks of every
+    /// level and carry more tags than the L3 has ways, so writes land in
+    /// shared slots, evict and back-invalidate.
+    #[test]
+    fn fresh_shared_levels_match_private_ones(
+        random_l1 in any::<bool>(),
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u64..16, 0u64..20, 0u8..7), 1..600),
+    ) {
+        let mut cfg = HierarchyConfig::coffee_lake();
+        if random_l1 {
+            cfg.l1d.replacement = ReplacementKind::Random;
+            cfg.l1d.seed = seed;
+        }
+        let mut shared = Hierarchy::new(cfg);
+        let mut private = Hierarchy::new(cfg);
+        private.unshare();
+        prop_assert_eq!(private.l3().shared_chunks_with(shared.l3()), 0);
+
+        for &(set, tag, op) in &ops {
+            let line = set * 513 + tag * cfg.l3.sets as u64;
+            let got = apply(&mut shared, line, op);
+            let want = apply(&mut private, line, op);
+            prop_assert_eq!(got, want, "outcome diverged (random L1: {})", random_l1);
+            prop_assert_eq!(shared.stats(), private.stats());
+        }
+        prop_assert!(shared.same_state(&private));
+    }
+
     /// A COW-forked pair under an arbitrary interleaved access stream is
     /// bit-identical — per-op outcomes and final full state — to eagerly
     /// deep-cloned (`unshare`d) hierarchies driven by the same per-lane
