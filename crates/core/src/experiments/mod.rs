@@ -19,21 +19,18 @@
 
 use crate::machine::Machine;
 use racer_cpu::batch::par_map;
-use racer_cpu::engine::fork_and_run;
-use racer_cpu::RunResult;
+use racer_cpu::{Backend, RunResult};
 use racer_isa::Program;
 
 /// Run prepared heterogeneous `(machine, program)` lanes, one [`par_map`]
-/// item per lane: each lane forks its machine's current state and runs
-/// to completion ([`fork_and_run`], which keeps the host thread's
-/// scheduling context across calls). Results come back in lane order,
-/// bit-identical to running each lane on its own fork; the machines are
-/// untouched. This is the fan-out every batched experiment shares.
+/// item per lane: each lane runs to completion on a clone of its
+/// machine's core (on the worker's own scheduling contexts, which it
+/// keeps across lanes). Results come back in lane order, bit-identical
+/// to running each lane on its own machine; the machines are untouched.
+/// This is the fan-out every batched experiment shares.
 pub(crate) fn run_lanes(lanes: &[(Machine, &Program)]) -> Vec<RunResult> {
     par_map(lanes, |(m, p)| {
-        let snap = m.snapshot();
-        let r = fork_and_run([(&snap, *p)]).next();
-        r.expect("one lane in, one result out")
+        m.cpu().clone().run_one(p, Backend::EventDriven)
     })
 }
 

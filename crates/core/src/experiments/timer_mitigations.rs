@@ -29,6 +29,9 @@ pub struct MitigationPoint {
     pub trials: usize,
 }
 
+/// The timer model names [`sweep`] accepts.
+pub const TIMER_MODELS: [&str; 5] = ["5us", "5us+jitter", "fuzzy-5us", "100us", "1ms"];
+
 fn build_timer(name: &str, seed: u64) -> Box<dyn Timer> {
     match name {
         "5us" => Box::new(CoarseTimer::new(5_000.0)),
@@ -54,7 +57,8 @@ fn build_timer(name: &str, seed: u64) -> Box<dyn Timer> {
 ///
 /// # Panics
 ///
-/// Panics if `trials == 0`: a cell with no transmissions has no accuracy.
+/// Panics if `trials == 0` (a cell with no transmissions has no
+/// accuracy) or a timer is not one of [`TIMER_MODELS`].
 pub fn sweep(timers: &[&str], round_counts: &[usize], trials: usize) -> Vec<MitigationPoint> {
     assert!(trials > 0, "a mitigation sweep needs at least one trial");
     // Prepared machines in (rounds, trial, bit) order, then one shared

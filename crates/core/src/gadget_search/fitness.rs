@@ -2,8 +2,8 @@
 //!
 //! Scoring is split in two. [`measure`] simulates: it walks the
 //! candidate's target ladder and runs each target's canonical [`Rung`]
-//! traced through [`measure_rung`] — one [`fork_and_run`] lane on a
-//! warmed snapshot — stopping at the first run that fails. Because each
+//! traced through [`measure_rung`] — one run on a fork of a warmed
+//! snapshot — stopping at the first run that fails. Because each
 //! run is traced, the timer reading at a target falls out of *one* run —
 //! the number of clock ops whose completion cycle is ≤ the measured
 //! tail's — with no binary search and no repeat trials (the simulator is
@@ -35,8 +35,8 @@
 
 use super::template::{GadgetTemplate, Rung};
 use crate::experiments::detection::{backend_bound_detector, l1_miss_detector, CounterProfile};
-use racer_cpu::engine::{fork_and_run, Snapshot, SnapshotCache};
-use racer_cpu::{workloads, CpuConfig, RunResult};
+use racer_cpu::engine::{Snapshot, SnapshotCache};
+use racer_cpu::{workloads, Backend, CpuConfig, RunResult};
 use racer_mem::HierarchyConfig;
 
 /// L1-miss detector threshold (misses per kilo-instruction), the same
@@ -227,15 +227,13 @@ pub struct RungReading {
     pub backend_flagged: bool,
 }
 
-/// Run `rung`'s lowered program traced on one fork of `snap` through
-/// [`fork_and_run`] (`snap` must have been built by
-/// [`FitnessConfig::snapshot`] for the same config). `None` when the run
-/// did not finish cleanly or never completed its measured tail.
+/// Run `rung`'s lowered program traced on one fork of `snap` (`snap`
+/// must have been built by [`FitnessConfig::snapshot`] for the same
+/// config). `None` when the run did not finish cleanly or never
+/// completed its measured tail.
 pub fn measure_rung(rung: &Rung, cfg: &FitnessConfig, snap: &Snapshot) -> Option<RungReading> {
     let l = rung.lower(cfg.clock_len);
-    let r = fork_and_run([(snap, &l.prog)])
-        .next()
-        .expect("one lane yields one run");
+    let r = snap.fork().run_one(&l.prog, Backend::EventDriven);
     if !r.halted || r.limit_hit || r.cycles > cfg.cycle_budget {
         return None;
     }
@@ -399,7 +397,10 @@ mod tests {
             .iter()
             .map(|&t| tpl.lower(t, cfg.clock_len))
             .collect();
-        let runs: Vec<_> = fork_and_run(lowered.iter().map(|l| (snap, &l.prog))).collect();
+        let runs: Vec<_> = lowered
+            .iter()
+            .map(|l| snap.fork().run_one(&l.prog, Backend::EventDriven))
+            .collect();
         if runs
             .iter()
             .any(|r| !r.halted || r.limit_hit || r.cycles > cfg.cycle_budget)

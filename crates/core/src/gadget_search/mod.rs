@@ -18,16 +18,15 @@
 //!   pair in canonical form: exactly what lowering reads, so pairs that
 //!   lower to the same program the same way share it.
 //! * [`fitness`] — scores a template by lowering it at a ladder of target
-//!   lengths and running each lowered program (one [`Rung`]) through
-//!   [`fork_and_run`](racer_cpu::engine::fork_and_run) on a warmed
-//!   snapshot. One traced run per target yields the timer reading
-//!   directly (clock ops completed before the measured tail), so a
-//!   candidate costs a handful of runs, not a binary search; `measure`
-//!   does the runs and the pure `score` turns their result into a
-//!   [`Fitness`]. Terms:
-//!   resolution (cycles per clock tick, least-squares), monotonicity of
-//!   reading vs. target, and stealth against the `detection_eval`
-//!   hardware-counter classifiers.
+//!   lengths and running each lowered program (one [`Rung`]) on a fork
+//!   of a warmed [`Snapshot`](racer_cpu::Snapshot). One traced run per
+//!   target yields the timer reading directly (clock ops completed
+//!   before the measured tail), so a candidate costs a handful of runs,
+//!   not a binary search; `measure` does the runs and the pure `score`
+//!   turns their result into a [`Fitness`]. Terms: resolution (cycles
+//!   per clock tick, least-squares), monotonicity of reading vs.
+//!   target, and stealth against the `detection_eval` hardware-counter
+//!   classifiers.
 //! * [`search`] — a MAP-Elites-style mutation/coverage loop: candidates
 //!   are bred from a novelty archive keyed by a behaviour descriptor
 //!   (resolution bucket × FU-pressure signature), evaluated in parallel

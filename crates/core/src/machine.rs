@@ -14,8 +14,9 @@ use racer_time::Timer;
 /// experiments need:
 ///
 /// * [`Machine::baseline`] — tree-PLRU 4-way L1 (the W=4 illustration of
-///   Figures 3–4; substitution for the paper's 8-way L1 documented in
-///   DESIGN.md), used by the PLRU magnifiers and most attacks;
+///   Figures 3–4, standing in for the paper's 8-way L1; see
+///   [`HierarchyConfig::small_plru`]), used by the PLRU magnifiers and
+///   most attacks;
 /// * [`Machine::random_l1`] — 64-set, 8-way, random-replacement L1, the
 ///   §6.3 arbitrary-replacement configuration;
 /// * [`Machine::small_llc`] — a scaled-down inclusive LLC for the §7.4

@@ -27,10 +27,10 @@
 //! core level: issue bandwidth, functional-unit ports, the non-pipelined
 //! divider units, the MSHR file and the cache hierarchy (`Shared`).
 //! Each cycle an [`SmtPolicy`](crate::config::SmtPolicy) (round-robin or
-//! ICOUNT) decides which context claims issue slots first. With
-//! `threads == 1` every structure and decision reduces exactly to the
-//! single-threaded core — the differential suite pins that path
-//! cycle-exactly against the retained reference scheduler.
+//! ICOUNT) decides which context claims issue slots first. A one-thread
+//! run takes the single-thread cycle loop instead of the SMT driver;
+//! the differential suites pin both cycle-exactly against the retained
+//! reference scheduler.
 //!
 //! Threads share the data memory as a common physical address space but
 //! have **no cross-thread memory-ordering model** (no inter-thread store
@@ -100,26 +100,29 @@
 //!   bit-identical results, counted in `RunResult::fast_forwarded`. The
 //!   reference scheduler never fast-forwards.
 //! * **No steady-state allocation.** All scheduling structures live in
-//!   the per-thread `ThreadCtx` structs, reused across runs: a [`Cpu`]
-//!   owns one per hardware thread for its [`Cpu::run`] calls, and the
-//!   fork-and-run engine keeps one per host thread across
-//!   [`fork_and_run`](crate::engine::fork_and_run) calls. A run decodes
-//!   nothing (the µop table belongs to the program);
+//!   the per-thread `ThreadCtx` structs, which belong to the host
+//!   thread, not to a [`Cpu`]: a run takes its host thread's contexts
+//!   (one per simulated hardware thread) and puts them back when it ends,
+//!   so consecutive runs on one host thread — of one machine or of
+//!   thousands of [`Snapshot::fork`](crate::Snapshot::fork)s — reuse
+//!   them. A [`Cpu`] is therefore plain state, and a fork is a clone of
+//!   it. A run decodes nothing (the µop table belongs to the program);
 //!   sources use inline `[Src; 3]` storage (no instruction has more than
 //!   three; the register names live in the decoded table), and the
 //!   `loads`/`trace` vectors are only touched when
-//!   [`CpuConfig::record`](crate::CpuConfig) asks for them (a forked
-//!   traced run reserves its trace once, one record per stored
-//!   instruction). SMT arbitration fills two driver-owned buffers, sized
+//!   [`CpuConfig::record`](crate::CpuConfig) asks for them (a
+//!   single-thread traced run reserves its trace once, one record per
+//!   stored instruction). SMT arbitration fills two driver-owned buffers, sized
 //!   once per run.
 
 use crate::config::{Backend, Countermeasure, CpuConfig, RecordLevel};
-use crate::predictor::{self, Predictor};
+use crate::predictor::Predictor;
 use crate::stats::{LoadEvent, RunResult};
 use racer_isa::{
     AluOp, DataMemory, DecodedInstr, DecodedMem, DecodedOp, FuClass, Program, SrcRef, NUM_REGS,
 };
 use racer_mem::{AccessKind, Addr, Hierarchy, HitLevel};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -245,9 +248,11 @@ struct FetchedInstr {
 /// One hardware thread context: everything private to a context — the
 /// reusable scheduling structures (ROB ring, RAT, ready heaps, completion
 /// wheel, stall pool, front-end queue) *and* the per-run state (fetch PC,
-/// fence/drain flags, result counters, event vectors). Owned by [`Cpu`] so
-/// consecutive [`Cpu::run`] calls (the shape of every sweep) run
-/// allocation-free once capacities have warmed up.
+/// fence/drain flags, result counters, event vectors). Owned by the host
+/// thread, not by a [`Cpu`] (see [`with_host_ctxs`]), so consecutive runs
+/// on one host thread — of one machine or of thousands of forks, the
+/// shape of every sweep — run allocation-free once capacities have
+/// warmed up.
 #[derive(Debug, Default)]
 pub(crate) struct ThreadCtx {
     /// ROB ring storage (capacity = `rob_size`).
@@ -453,8 +458,8 @@ impl ThreadCtx {
 
     /// Assemble this context's finished run into a [`RunResult`], moving
     /// the recorded event vectors out. `mem_stats` is the hierarchy delta
-    /// the caller attributes to the run. Shared by the SMT driver and the
-    /// fork path so the result shape can never drift between them.
+    /// the caller attributes to the run. Shared by the single-thread and
+    /// SMT paths so the result shape can never drift between them.
     fn take_result(&mut self, mem_stats: racer_mem::HierarchyStats) -> RunResult {
         RunResult {
             cycles: self.end_cycle,
@@ -473,40 +478,28 @@ impl ThreadCtx {
     }
 }
 
-/// Run `prog` to completion on a single-thread machine assembled from
-/// the given parts (a fresh fork's hierarchy, memory and predictor),
-/// using `s` as the scheduling context. The fork-and-run engine's inner
-/// call: it drives the same [`Pipeline::run_single`] loop as the
-/// single-thread path of [`Cpu::run`], so a forked lane is bit-identical
-/// to a whole machine run to completion.
-pub(crate) fn run_fork(
-    cfg: &CpuConfig,
-    mut hier: Hierarchy,
-    mut mem: DataMemory,
-    mut predictor: Box<dyn Predictor>,
-    prog: &Program,
-    s: &mut ThreadCtx,
-) -> RunResult {
-    if cfg.record.trace() {
-        // One record per dispatched instruction: a straight-line lane
-        // dispatches each stored instruction once.
-        s.trace.reserve(prog.stored().len());
+thread_local! {
+    /// This host thread's scheduling contexts, one per hardware thread of
+    /// the widest run it has made (empty while a run holds them).
+    static HOST_CTXS: Cell<Vec<ThreadCtx>> = const { Cell::new(Vec::new()) };
+}
+
+/// Run `f` on `n` of this host thread's scheduling contexts, each reset
+/// for a ROB of `rob_size`. The run takes the contexts and puts them back
+/// when it ends, so the next run on the thread reuses their capacity
+/// whatever machine it simulates; a run that panics drops them, and the
+/// next run builds fresh ones.
+fn with_host_ctxs<R>(n: usize, rob_size: usize, f: impl FnOnce(&mut [ThreadCtx]) -> R) -> R {
+    let mut ctxs = HOST_CTXS.take();
+    if ctxs.len() < n {
+        ctxs.resize_with(n, ThreadCtx::default);
     }
-    let stats_before = hier.stats();
-    Pipeline {
-        cfg,
-        hier: &mut hier,
-        mem: &mut mem,
-        predictor: predictor.as_mut(),
-        prog,
-        dec: prog.decoded().uops(),
-        tid: 0,
-        s,
-        sh: &mut Shared::new(cfg.div_ports, 1),
-        cycle: 0,
+    for ctx in &mut ctxs[..n] {
+        ctx.reset(rob_size);
     }
-    .run_single();
-    s.take_result(hier.stats().since(&stats_before))
+    let r = f(&mut ctxs[..n]);
+    HOST_CTXS.set(ctxs);
+    r
 }
 
 /// Structural resources shared by every hardware thread: the divider
@@ -574,7 +567,10 @@ impl Shared {
 /// The simulated core, owning its memory hierarchy, data memory and branch
 /// predictors. All of those persist across [`Cpu::run`] calls — caches
 /// stay warm and the predictors stay trained, exactly like the machine a
-/// JavaScript attacker repeatedly invokes functions on.
+/// JavaScript attacker repeatedly invokes functions on. That state is
+/// all a `Cpu` holds (scheduling structures belong to the host thread),
+/// so a clone is an independent machine, cheap to make: its caches are
+/// copy-on-write.
 ///
 /// ```
 /// use racer_cpu::{Backend, Cpu, CpuConfig};
@@ -593,7 +589,7 @@ impl Shared {
 /// assert_eq!(result.regs[r.index()], 42);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Cpu {
     pub(crate) cfg: CpuConfig,
     pub(crate) hier: Hierarchy,
@@ -603,9 +599,7 @@ pub struct Cpu {
     /// cross-thread channel this model deliberately does not open).
     /// Index 0 is the classic single-thread predictor; all persist across
     /// `run` calls.
-    pub(crate) predictors: Vec<Box<dyn Predictor>>,
-    /// One scheduling context per hardware thread, grown on demand.
-    pub(crate) ctxs: Vec<ThreadCtx>,
+    pub(crate) predictors: Vec<Predictor>,
 }
 
 impl Cpu {
@@ -617,11 +611,10 @@ impl Cpu {
     pub fn new(cfg: CpuConfig, hier_cfg: racer_mem::HierarchyConfig) -> Self {
         cfg.validate();
         Cpu {
-            predictors: vec![predictor::build(cfg.predictor)],
+            predictors: vec![Predictor::new(cfg.predictor)],
             cfg,
             hier: Hierarchy::new(hier_cfg),
             mem: DataMemory::new(),
-            ctxs: vec![ThreadCtx::default()],
         }
     }
 
@@ -671,13 +664,11 @@ impl Cpu {
         }
     }
 
-    /// Grow the per-thread structures to `n` contexts.
+    /// Grow the per-thread predictors to `n` contexts.
     fn ensure_threads(&mut self, n: usize) {
-        while self.predictors.len() < n {
-            self.predictors.push(predictor::build(self.cfg.predictor));
-        }
-        while self.ctxs.len() < n {
-            self.ctxs.push(ThreadCtx::default());
+        let kind = self.cfg.predictor;
+        if self.predictors.len() < n {
+            self.predictors.resize_with(n, || Predictor::new(kind));
         }
     }
 
@@ -692,11 +683,10 @@ impl Cpu {
     /// [`CpuConfig::threads`](crate::CpuConfig) — use [`Cpu::run`] for
     /// co-scheduled programs.
     pub fn run_one(&mut self, prog: &Program, backend: Backend) -> RunResult {
-        let results = match backend {
-            Backend::EventDriven => self.run_event_driven(&[prog]),
-            Backend::Reference => self.run_reference(&[prog]),
-        };
-        results.into_iter().next().expect("one program, one result")
+        match backend {
+            Backend::EventDriven => self.run_single(prog),
+            Backend::Reference => self.run_reference(&[prog]).remove(0),
+        }
     }
 
     /// The single execution entry point: run `progs` with the chosen
@@ -709,9 +699,8 @@ impl Cpu {
     /// the survivors, so contention is strongest while both run.
     /// `mem_stats` is the shared hierarchy's delta for the whole co-run
     /// (the caches are shared, so per-thread attribution does not exist
-    /// in hardware either). Independent single-thread lanes forked from
-    /// this machine's state go through
-    /// [`Snapshot::run_many`](crate::Snapshot::run_many) instead.
+    /// in hardware either). With one thread the event-driven backend takes
+    /// the same path as [`Cpu::run_one`].
     ///
     /// # Panics
     ///
@@ -724,7 +713,8 @@ impl Cpu {
             "the {backend} backend co-schedules one program per configured hardware thread"
         );
         match backend {
-            Backend::EventDriven => self.run_event_driven(progs),
+            Backend::EventDriven if progs.len() == 1 => vec![self.run_single(progs[0])],
+            Backend::EventDriven => self.run_smt(progs),
             Backend::Reference => self.run_reference(progs),
         }
     }
@@ -738,26 +728,58 @@ impl Cpu {
     /// Panics unless this is a single-thread config (forked lanes are
     /// single-thread machines).
     pub fn snapshot(&self) -> crate::engine::Snapshot {
-        crate::engine::Snapshot::capture(self)
+        crate::engine::Snapshot::capture(self.clone())
     }
 
-    fn run_event_driven(&mut self, progs: &[&Program]) -> Vec<RunResult> {
+    /// The one single-thread event-driven path — forks, one-program calls
+    /// and one-thread [`Cpu::run`] calls all take it: the
+    /// [`Pipeline::run_single`] loop on this host thread's first
+    /// scheduling context.
+    fn run_single(&mut self, prog: &Program) -> RunResult {
+        let cfg = &self.cfg;
+        with_host_ctxs(1, cfg.rob_size, |ctxs| {
+            let s = &mut ctxs[0];
+            if cfg.record.trace() {
+                // One record per dispatched instruction: a straight-line
+                // program dispatches each stored instruction once.
+                s.trace.reserve(prog.stored().len());
+            }
+            let stats_before = self.hier.stats();
+            Pipeline {
+                cfg,
+                hier: &mut self.hier,
+                mem: &mut self.mem,
+                predictor: &mut self.predictors[0],
+                prog,
+                dec: prog.decoded().uops(),
+                tid: 0,
+                s,
+                sh: &mut Shared::new(cfg.div_ports, 1),
+                cycle: 0,
+            }
+            .run_single();
+            s.take_result(self.hier.stats().since(&stats_before))
+        })
+    }
+
+    /// Co-schedule two or more programs on this host thread's scheduling
+    /// contexts.
+    fn run_smt(&mut self, progs: &[&Program]) -> Vec<RunResult> {
         let n = progs.len();
         self.ensure_threads(n);
-        for ctx in &mut self.ctxs[..n] {
-            ctx.reset(self.cfg.rob_size);
-        }
-        SmtRun {
-            cfg: self.cfg,
-            hier: &mut self.hier,
-            mem: &mut self.mem,
-            predictors: &mut self.predictors[..n],
-            progs,
-            ctxs: &mut self.ctxs[..n],
-            shared: Shared::new(self.cfg.div_ports, n),
-            cycle: 0,
-        }
-        .run()
+        with_host_ctxs(n, self.cfg.rob_size, |ctxs| {
+            SmtRun {
+                cfg: self.cfg,
+                hier: &mut self.hier,
+                mem: &mut self.mem,
+                predictors: &mut self.predictors[..n],
+                progs,
+                ctxs,
+                shared: Shared::new(self.cfg.div_ports, n),
+                cycle: 0,
+            }
+            .run()
+        })
     }
 
     fn run_reference(&mut self, progs: &[&Program]) -> Vec<RunResult> {
@@ -774,16 +796,18 @@ impl Cpu {
     }
 }
 
-/// The per-cycle driver: owns the shared structural resources and walks
-/// every live thread context through the five pipeline stages in a fixed
-/// global order (all writebacks, all commits, arbitrated issue, all
-/// dispatches, all fetches). With one thread this is exactly the original
-/// single-threaded cycle loop.
+/// The per-cycle driver of a run of two or more hardware threads: owns
+/// the shared structural resources and walks every live thread context
+/// through the five pipeline stages in a fixed global order (all
+/// writebacks, all commits, arbitrated issue, all dispatches, all
+/// fetches). One-thread runs take [`Pipeline::run_single`] instead; the
+/// SMT differential suite pins this driver against the reference
+/// scheduler.
 struct SmtRun<'a> {
     cfg: CpuConfig,
     hier: &'a mut Hierarchy,
     mem: &'a mut DataMemory,
-    predictors: &'a mut [Box<dyn Predictor>],
+    predictors: &'a mut [Predictor],
     progs: &'a [&'a Program],
     ctxs: &'a mut [ThreadCtx],
     shared: Shared,
@@ -797,7 +821,7 @@ impl SmtRun<'_> {
             cfg: &self.cfg,
             hier: self.hier,
             mem: self.mem,
-            predictor: self.predictors[tid].as_mut(),
+            predictor: &mut self.predictors[tid],
             prog: self.progs[tid],
             dec: self.progs[tid].decoded().uops(),
             tid,
@@ -820,25 +844,6 @@ impl SmtRun<'_> {
     fn run(mut self) -> Vec<RunResult> {
         let stats_before = self.hier.stats();
         let n = self.progs.len();
-        if n == 1 {
-            // Single-thread fast path: one view for the whole run, the
-            // cycle loop on the view itself — structurally the original
-            // single-threaded scheduler, with zero per-cycle driver
-            // overhead. (The multi-thread driver below is separately
-            // pinned against the reference by the SMT differential
-            // suite.)
-            self.stage(0, |p| p.run_single());
-        } else {
-            self.run_multi(n);
-        }
-        let mem_stats = self.hier.stats().since(&stats_before);
-        self.ctxs
-            .iter_mut()
-            .map(|c| c.take_result(mem_stats))
-            .collect()
-    }
-
-    fn run_multi(&mut self, n: usize) {
         // Arbitration buffers, rewritten every cycle.
         let mut occupancy = vec![0usize; n];
         let mut order = vec![0usize; n];
@@ -916,6 +921,11 @@ impl SmtRun<'_> {
                 break;
             }
         }
+        let mem_stats = self.hier.stats().since(&stats_before);
+        self.ctxs
+            .iter_mut()
+            .map(|c| c.take_result(mem_stats))
+            .collect()
     }
 }
 
@@ -926,7 +936,7 @@ struct Pipeline<'a> {
     cfg: &'a CpuConfig,
     hier: &'a mut Hierarchy,
     mem: &'a mut DataMemory,
-    predictor: &'a mut dyn Predictor,
+    predictor: &'a mut Predictor,
     prog: &'a Program,
     /// `prog`'s stored µops ([`Program::decoded`]), indexed by µop index
     /// (`Slot::uop`; fetch and dispatch map pcs with `uop_index`).
@@ -1915,7 +1925,10 @@ mod tests {
         let mut progs = vec![prog];
         progs.resize(threads, &idle);
         let cycles = cpu.run(&progs, Backend::EventDriven)[0].cycles;
-        (cycles, cpu.ctxs[0].stall_parks)
+        let ctxs = HOST_CTXS.take();
+        let parks = ctxs[0].stall_parks;
+        HOST_CTXS.set(ctxs);
+        (cycles, parks)
     }
 
     /// An idle sibling posts no fills, so under SMT the stall pool wakes

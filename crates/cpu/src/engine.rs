@@ -4,44 +4,40 @@
 //! Sweeps are the repo's dominant workload shape: run N program *variants*
 //! (target lengths, repeat counts, magnifier settings) on machines that
 //! share a warmed-up starting state. Spawning one fresh [`Cpu`] per
-//! variant pays the warmup run and the scheduling-structure allocation N
-//! times; [`fork_and_run`] pays them once:
+//! variant pays the warmup run N times; a [`Snapshot`] pays it once:
 //!
-//! * **Snapshots** ([`Snapshot`]): one deep capture of a machine's
-//!   persistent state — caches (replacement state included), data memory,
-//!   trained branch predictor — behind an [`Arc`], shared copy-on-fork
-//!   across lanes and across host threads
+//! * **Snapshots** ([`Snapshot`]): a warmed [`Cpu`] — caches (replacement
+//!   state included), data memory, trained branch predictor — behind an
+//!   [`Arc`], shared across lanes and across host threads
 //!   ([`batch::par_map`](crate::batch::par_map) workers can all fork from
-//!   the same snapshot). A sweep warms one machine, snapshots it, and
-//!   forks it per point instead of re-running warmup per point.
+//!   the same snapshot). A fork is a clone of that machine, and a lane is
+//!   `snap.fork().run_one(prog, Backend::EventDriven)`: the same
+//!   single-thread path as every other one-program run.
 //! * **Shared µop tables**: a program carries its µop table, decoded
 //!   once when it was built ([`Program::decoded`]); every lane running
-//!   that program indexes the same table, and the engine decodes
-//!   nothing. A countermeasure or repeat-count sweep that runs the same
-//!   gadget N times decodes it once.
-//! * **Copy-on-write lane memory**: forking a lane clones the snapshot's
-//!   [`Hierarchy`], which shares cache storage in
+//!   that program indexes the same table, and a run decodes nothing.
+//! * **Copy-on-write lane memory**: forking clones the snapshot's
+//!   [`Hierarchy`](racer_mem::Hierarchy), which shares cache storage in
 //!   `Arc`-backed chunks and only materialises the chunks the lane
 //!   actually writes (see `racer_mem`'s COW docs).
-//! * **One reused context per host thread**: a `ThreadCtx` (ROB ring,
-//!   completion wheel, ready heaps, stall pool, store queue) belongs to
-//!   the host thread, not to the call. It is reset for every lane and
-//!   parked in a thread-local slot between calls, so a thread that makes
-//!   thousands of short calls (the gadget search runs one ladder rung per
-//!   call) allocates its scheduling structures once.
+//! * **Scheduling contexts belong to the host thread**: the ROB ring,
+//!   completion wheel, ready heaps, stall pool and store queue are not
+//!   part of a [`Cpu`]. A run takes its host thread's contexts and puts
+//!   them back when it ends, so a thread that runs thousands of short
+//!   forks (the gadget search runs one per ladder rung) allocates its
+//!   scheduling structures once.
 //!
-//! The engine never spawns threads: callers fan calls out across host
+//! The engine never spawns threads: callers fan lanes out across host
 //! cores with [`batch::par_map`](crate::batch::par_map).
 //!
 //! # Cycle exactness
 //!
 //! Lanes are *independent machines*: they share no simulated state, only
-//! host-side tables and allocations. Each lane runs the **same**
-//! single-thread cycle loop [`Cpu::run`] uses, under its own snapshot's
-//! [`CpuConfig`], so a lane is bit-identical (cycles, committed state,
-//! timer readings, cache stats) to forking a whole machine and running it
-//! to completion, in any lane order. The differential suites pin this
-//! against both schedulers.
+//! host-side tables and allocations. A lane is bit-identical (cycles,
+//! committed state, timer readings, cache stats) to running the captured
+//! machine itself to completion, in any lane order and on any host
+//! thread. The differential suites pin the single-thread path against
+//! the reference scheduler.
 //!
 //! ```
 //! use racer_cpu::{Backend, Cpu, CpuConfig};
@@ -66,16 +62,14 @@
 //! ```
 
 use crate::config::{Backend, CpuConfig};
-use crate::core::{self, Cpu, ThreadCtx};
-use crate::predictor::Predictor;
+use crate::core::Cpu;
 use crate::stats::RunResult;
-use racer_isa::{DataMemory, Program};
-use racer_mem::{Hierarchy, HierarchyConfig};
-use std::cell::Cell;
+use racer_isa::Program;
+use racer_mem::HierarchyConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// An immutable capture of a machine's persistent state — config, cache
+/// An immutable capture of a single-thread machine — config, cache
 /// hierarchy (replacement and stats state included), data memory and
 /// trained branch predictor — shared behind an [`Arc`].
 ///
@@ -86,37 +80,23 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// [`batch::par_map`](crate::batch::par_map) worker at once.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    inner: Arc<SnapshotState>,
-}
-
-#[derive(Debug)]
-struct SnapshotState {
-    cfg: CpuConfig,
-    hier: Hierarchy,
-    mem: DataMemory,
-    predictor: Box<dyn Predictor>,
+    inner: Arc<Cpu>,
 }
 
 impl Snapshot {
-    /// Capture `cpu`'s persistent state. One deep copy; subsequent clones
-    /// and forks share it.
+    /// Capture `cpu`; subsequent clones and forks share it.
     ///
     /// # Panics
     ///
     /// Panics unless `cpu` is a single-thread config (forked lanes are
     /// single-thread machines).
-    pub(crate) fn capture(cpu: &Cpu) -> Self {
+    pub(crate) fn capture(cpu: Cpu) -> Self {
         assert_eq!(
             cpu.cfg.threads, 1,
             "snapshots capture single-thread machines"
         );
         Snapshot {
-            inner: Arc::new(SnapshotState {
-                cfg: cpu.cfg,
-                hier: cpu.hier.clone(),
-                mem: cpu.mem.clone(),
-                predictor: cpu.predictors[0].clone_box(),
-            }),
+            inner: Arc::new(cpu),
         }
     }
 
@@ -127,109 +107,29 @@ impl Snapshot {
     ///
     /// Panics if `cfg` fails validation or is not single-thread.
     pub fn cold(cfg: CpuConfig, hier_cfg: HierarchyConfig) -> Self {
-        Self::capture(&Cpu::new(cfg, hier_cfg))
+        Self::capture(Cpu::new(cfg, hier_cfg))
     }
 
     /// The captured core configuration.
     pub fn config(&self) -> &CpuConfig {
-        &self.inner.cfg
+        self.inner.config()
     }
 
-    /// Stamp out an independent machine starting from the captured state.
-    /// The fork owns its own copies: nothing it does is visible to the
-    /// snapshot or to sibling forks.
+    /// Stamp out an independent machine starting from the captured state:
+    /// a clone of the captured [`Cpu`]. Nothing the fork does is visible
+    /// to the snapshot or to sibling forks.
     pub fn fork(&self) -> Cpu {
-        Cpu {
-            cfg: self.inner.cfg,
-            hier: self.inner.hier.clone(),
-            mem: self.inner.mem.clone(),
-            predictors: vec![self.inner.predictor.clone_box()],
-            ctxs: vec![ThreadCtx::default()],
-        }
+        Cpu::clone(&self.inner)
     }
 
     /// Run each of `progs` on an independent fork of this snapshot and
-    /// return one [`RunResult`] per program, in input order — the
-    /// single-source form of [`fork_and_run`]. Results are bit-identical
-    /// to `self.fork().run_one(prog, Backend::EventDriven)` per program.
+    /// return one [`RunResult`] per program, in input order:
+    /// `self.fork().run_one(prog, Backend::EventDriven)` per program.
     pub fn run_many(&self, progs: &[Program]) -> Vec<RunResult> {
-        fork_and_run(progs.iter().map(|p| (self, p))).collect()
-    }
-}
-
-thread_local! {
-    /// This host thread's scheduling context, parked between
-    /// [`fork_and_run`] calls (empty while a call holds it).
-    static PARKED_CTX: Cell<Option<ThreadCtx>> = const { Cell::new(None) };
-}
-
-/// A [`fork_and_run`] call's lanes plus the scheduling context they run
-/// on, taken from this host thread's slot and put back on drop.
-struct Lanes<I> {
-    lanes: I,
-    ctx: ThreadCtx,
-}
-
-impl<'a, I: Iterator<Item = (&'a Snapshot, &'a Program)>> Iterator for Lanes<I> {
-    type Item = RunResult;
-
-    fn next(&mut self) -> Option<RunResult> {
-        let (snap, prog) = self.lanes.next()?;
-        let src = &snap.inner;
-        self.ctx.reset(src.cfg.rob_size);
-        Some(core::run_fork(
-            &src.cfg,
-            src.hier.clone(),
-            src.mem.clone(),
-            src.predictor.clone_box(),
-            prog,
-            &mut self.ctx,
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.lanes.size_hint()
-    }
-}
-
-impl<I> Drop for Lanes<I> {
-    fn drop(&mut self) {
-        let ctx = std::mem::take(&mut self.ctx);
-        // During thread teardown the slot may already be gone; the
-        // context is then simply dropped.
-        let _ = PARKED_CTX.try_with(|slot| slot.set(Some(ctx)));
-    }
-}
-
-/// Run every `(snapshot, program)` lane to completion on its own fork of
-/// the snapshot, one lane after another, yielding one [`RunResult`] per
-/// lane in input order.
-///
-/// Lanes run lazily: each one runs when the iterator reaches it, so a
-/// caller that reads each result before asking for the next holds one
-/// result at a time (one trace, for a traced config), and one that stops
-/// early runs no further lanes. `.collect()` runs them all.
-///
-/// Lanes may fork from different snapshots — distinct cache layouts,
-/// jitter seeds, planted secrets, even distinct [`CpuConfig`]s: each lane
-/// runs under its own snapshot's config. Each lane reads its program's own
-/// µop table ([`Program::decoded`]). The scheduling context belongs to the
-/// host thread and persists across calls: a call takes the thread's
-/// context when it starts, resets it for every lane, and puts it back when
-/// the iterator drops, so a loop of calls on one thread (one gadget
-/// ladder rung per call) allocates its ROB ring, wheel and heaps once. A
-/// call made while another call's iterator is alive on the same thread
-/// builds its own context. Each result is bit-identical to
-/// `snap.fork().run_one(prog, Backend::EventDriven)`; the snapshots are
-/// untouched.
-pub fn fork_and_run<'a, I>(lanes: I) -> impl Iterator<Item = RunResult> + 'a
-where
-    I: IntoIterator<Item = (&'a Snapshot, &'a Program)>,
-    I::IntoIter: 'a,
-{
-    Lanes {
-        lanes: lanes.into_iter(),
-        ctx: PARKED_CTX.with(Cell::take).unwrap_or_default(),
+        progs
+            .iter()
+            .map(|p| self.fork().run_one(p, Backend::EventDriven))
+            .collect()
     }
 }
 
@@ -322,7 +222,7 @@ impl SnapshotCache {
                     cpu.run_one(prog, Backend::EventDriven);
                 }
             }
-            cpu.snapshot()
+            Snapshot::capture(cpu)
         });
         if !built {
             self.hits.fetch_add(1, Ordering::Relaxed);

@@ -41,10 +41,13 @@
 //! the event-driven production scheduler ([`core`], allocation-free in
 //! steady state) or the retained scan-based golden model in
 //! [`mod@reference`]. The two are cycle-exact against each other, pinned
-//! by the differential suites. Sweeps over many independent machines use
-//! the fork-and-run path in [`engine`]: warm one machine, capture a
-//! copy-on-fork [`Snapshot`], and run each program to completion on its
-//! own fork ([`Snapshot::run_many`], [`engine::fork_and_run`]).
+//! by the differential suites. The event-driven backend has one
+//! single-thread path, which every one-program run takes, and a driver
+//! for two or more co-scheduled threads; both run on scheduling contexts
+//! owned by the host thread, not by the [`Cpu`]. Sweeps over many
+//! independent machines use [`engine`]: warm one machine, capture a
+//! copy-on-fork [`Snapshot`], and run each program on its own fork
+//! (`snap.fork().run_one(..)`, or [`Snapshot::run_many`]).
 //! [`RecordLevel`] controls how much event data a run records, and
 //! [`batch::par_map`] fans independent simulations out across host
 //! cores. The benchmark (`perfbench/`) times the schedulers; the exact

@@ -4,8 +4,8 @@
 //! *trainable* predictor: the attacker first executes the gadget with inputs
 //! that make the branch resolve one way, then flips the input so the
 //! (now-mistrained) predictor speculatively executes the wrong path. The
-//! [`TwoBit`] predictor reproduces that behaviour; the static predictors
-//! exist for controlled experiments.
+//! [`Predictor::TwoBit`] predictor reproduces that behaviour; the static
+//! predictors exist for controlled experiments.
 
 use crate::config::PredictorKind;
 
@@ -13,43 +13,14 @@ use crate::config::PredictorKind;
 ///
 /// Predictor state persists across [`Cpu::run`](crate::Cpu::run) calls —
 /// training in one run carries into the next, exactly like real hardware
-/// observed by a JavaScript attacker re-invoking a function.
-pub trait Predictor: std::fmt::Debug + Send + Sync {
-    /// Predict the direction of the branch at `pc`.
-    fn predict(&self, pc: usize) -> bool;
-    /// Record the resolved direction of the branch at `pc`.
-    fn train(&mut self, pc: usize, taken: bool);
-    /// Forget all history.
-    fn reset(&mut self);
-    /// Clone this predictor, trained state included, behind a fresh box.
-    /// Snapshot forking ([`Snapshot::fork`](crate::Snapshot::fork)) uses
-    /// this to give every lane an independent copy of the warmed predictor.
-    fn clone_box(&self) -> Box<dyn Predictor>;
-}
-
-impl Clone for Box<dyn Predictor> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// Build the predictor selected by `kind`.
-pub fn build(kind: PredictorKind) -> Box<dyn Predictor> {
-    match kind {
-        PredictorKind::TwoBit { entries } => Box::new(TwoBit::new(entries)),
-        PredictorKind::AlwaysTaken => Box::new(Static { taken: true }),
-        PredictorKind::AlwaysNotTaken => Box::new(Static { taken: false }),
-    }
-}
-
-/// Classic 2-bit saturating-counter bimodal predictor indexed by PC.
-///
-/// Counters: 0,1 → predict not-taken; 2,3 → predict taken. Initialised to 1
-/// (weakly not-taken).
+/// observed by a JavaScript attacker re-invoking a function. Cloning
+/// copies the trained state, which is how a
+/// [`Snapshot::fork`](crate::Snapshot::fork) gets its own predictor.
 ///
 /// ```
-/// use racer_cpu::predictor::{Predictor, TwoBit};
-/// let mut p = TwoBit::new(64);
+/// use racer_cpu::predictor::Predictor;
+/// use racer_cpu::PredictorKind;
+/// let mut p = Predictor::new(PredictorKind::TwoBit { entries: 64 });
 /// p.train(5, true);
 /// p.train(5, true);
 /// assert!(p.predict(5));
@@ -59,74 +30,71 @@ pub fn build(kind: PredictorKind) -> Box<dyn Predictor> {
 /// assert!(!p.predict(5));
 /// ```
 #[derive(Clone, Debug)]
-pub struct TwoBit {
-    table: Vec<u8>,
-    mask: usize,
+pub enum Predictor {
+    /// Classic 2-bit saturating-counter bimodal predictor indexed by PC.
+    /// Counters: 0,1 → predict not-taken; 2,3 → predict taken.
+    /// Initialised to 1 (weakly not-taken).
+    TwoBit {
+        /// One 2-bit counter per entry.
+        table: Vec<u8>,
+        /// `table.len() - 1`: a pc's entry is `pc & mask`.
+        mask: usize,
+    },
+    /// Statically predicts one direction, ignoring history.
+    Static {
+        /// The predicted direction.
+        taken: bool,
+    },
 }
 
-impl TwoBit {
-    /// Create a table of `entries` 2-bit counters.
+impl Predictor {
+    /// Build the predictor selected by `kind`.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or not a power of two.
-    pub fn new(entries: usize) -> Self {
-        assert!(
-            entries.is_power_of_two(),
-            "predictor table size must be a power of two"
-        );
-        TwoBit {
-            table: vec![1; entries],
-            mask: entries - 1,
+    /// Panics if a two-bit table size is zero or not a power of two.
+    pub fn new(kind: PredictorKind) -> Self {
+        match kind {
+            PredictorKind::TwoBit { entries } => {
+                assert!(
+                    entries.is_power_of_two(),
+                    "predictor table size must be a power of two"
+                );
+                Predictor::TwoBit {
+                    table: vec![1; entries],
+                    mask: entries - 1,
+                }
+            }
+            PredictorKind::AlwaysTaken => Predictor::Static { taken: true },
+            PredictorKind::AlwaysNotTaken => Predictor::Static { taken: false },
         }
     }
 
-    fn idx(&self, pc: usize) -> usize {
-        pc & self.mask
-    }
-}
-
-impl Predictor for TwoBit {
-    fn predict(&self, pc: usize) -> bool {
-        self.table[self.idx(pc)] >= 2
-    }
-
-    fn train(&mut self, pc: usize, taken: bool) {
-        let i = self.idx(pc);
-        let c = &mut self.table[i];
-        if taken {
-            *c = (*c + 1).min(3);
-        } else {
-            *c = c.saturating_sub(1);
+    /// Predict the direction of the branch at `pc`.
+    pub fn predict(&self, pc: usize) -> bool {
+        match self {
+            Predictor::TwoBit { table, mask } => table[pc & mask] >= 2,
+            Predictor::Static { taken } => *taken,
         }
     }
 
-    fn reset(&mut self) {
-        self.table.iter_mut().for_each(|c| *c = 1);
+    /// Record the resolved direction of the branch at `pc`.
+    pub fn train(&mut self, pc: usize, taken: bool) {
+        if let Predictor::TwoBit { table, mask } = self {
+            let c = &mut table[pc & *mask];
+            if taken {
+                *c = (*c + 1).min(3);
+            } else {
+                *c = c.saturating_sub(1);
+            }
+        }
     }
 
-    fn clone_box(&self) -> Box<dyn Predictor> {
-        Box::new(self.clone())
-    }
-}
-
-/// Statically predicts one direction, ignoring history.
-#[derive(Copy, Clone, Debug)]
-pub struct Static {
-    taken: bool,
-}
-
-impl Predictor for Static {
-    fn predict(&self, _pc: usize) -> bool {
-        self.taken
-    }
-
-    fn train(&mut self, _pc: usize, _taken: bool) {}
-
-    fn reset(&mut self) {}
-
-    fn clone_box(&self) -> Box<dyn Predictor> {
-        Box::new(*self)
+    /// Forget all history.
+    pub fn reset(&mut self) {
+        if let Predictor::TwoBit { table, .. } = self {
+            table.fill(1);
+        }
     }
 }
 
@@ -134,9 +102,13 @@ impl Predictor for Static {
 mod tests {
     use super::*;
 
+    fn two_bit(entries: usize) -> Predictor {
+        Predictor::new(PredictorKind::TwoBit { entries })
+    }
+
     #[test]
     fn two_bit_saturates_both_ways() {
-        let mut p = TwoBit::new(16);
+        let mut p = two_bit(16);
         for _ in 0..10 {
             p.train(3, true);
         }
@@ -154,7 +126,7 @@ mod tests {
 
     #[test]
     fn pcs_alias_by_mask() {
-        let mut p = TwoBit::new(8);
+        let mut p = two_bit(8);
         p.train(1, true);
         p.train(1, true);
         assert!(p.predict(9), "pc 9 aliases pc 1 in an 8-entry table");
@@ -163,7 +135,7 @@ mod tests {
 
     #[test]
     fn initial_prediction_is_not_taken() {
-        let p = TwoBit::new(8);
+        let p = two_bit(8);
         for pc in 0..8 {
             assert!(!p.predict(pc));
         }
@@ -171,7 +143,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_training() {
-        let mut p = TwoBit::new(8);
+        let mut p = two_bit(8);
         p.train(0, true);
         p.train(0, true);
         p.reset();
@@ -180,15 +152,15 @@ mod tests {
 
     #[test]
     fn static_predictors() {
-        let t = build(PredictorKind::AlwaysTaken);
-        let nt = build(PredictorKind::AlwaysNotTaken);
+        let t = Predictor::new(PredictorKind::AlwaysTaken);
+        let nt = Predictor::new(PredictorKind::AlwaysNotTaken);
         assert!(t.predict(123));
         assert!(!nt.predict(123));
     }
 
     #[test]
     fn factory_builds_two_bit() {
-        let mut p = build(PredictorKind::TwoBit { entries: 32 });
+        let mut p = Predictor::new(PredictorKind::TwoBit { entries: 32 });
         p.train(4, true);
         p.train(4, true);
         assert!(p.predict(4));

@@ -149,7 +149,7 @@ pub(crate) struct RefPipeline<'a> {
     mem: &'a mut DataMemory,
     /// One predictor per hardware thread (same partitioning as the
     /// event-driven core).
-    predictors: &'a mut [Box<dyn Predictor>],
+    predictors: &'a mut [Predictor],
     /// One program per thread. Rename reads source lists and destinations
     /// from each program's µop table ([`Program::decoded`]); *execution*
     /// deliberately stays on [`Instr`] so the differential suite
@@ -171,7 +171,7 @@ impl<'a> RefPipeline<'a> {
         cfg: CpuConfig,
         hier: &'a mut Hierarchy,
         mem: &'a mut DataMemory,
-        predictors: &'a mut [Box<dyn Predictor>],
+        predictors: &'a mut [Predictor],
         progs: &'a [&'a Program],
     ) -> Self {
         assert_eq!(

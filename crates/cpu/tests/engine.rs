@@ -1,18 +1,18 @@
 //! Property tests for the fork-and-run engine (`racer_cpu::engine`).
 //!
 //! The engine's contract is bit-identity: a lane run by
-//! [`Snapshot::run_many`] or [`fork_and_run`] must produce exactly the
-//! [`RunResult`] that forking a whole machine from the same [`Snapshot`]
-//! and running it to completion would — cycles, registers, load events,
-//! traces and cache statistics — in any lane order, with any mix of
-//! divergent programs and fork sources, under every countermeasure. These
-//! tests exercise that property on randomized program populations, plus
-//! the fork semantics the sweep drivers rely on: forks are isolated from
-//! the snapshot and from each other, and the snapshot cache keys exactly,
+//! [`Snapshot::run_many`] must produce exactly the [`RunResult`] that
+//! forking a whole machine from the same [`Snapshot`] and running it to
+//! completion would — cycles, registers, load events, traces and cache
+//! statistics — in any lane order, under every countermeasure, and on
+//! whatever scheduling contexts the host thread's earlier runs (of any
+//! fork source, ROB size or thread count) left behind. These tests
+//! exercise that property on randomized program populations, plus the
+//! fork semantics the sweep drivers rely on: forks are isolated from the
+//! snapshot and from each other, and the snapshot cache keys exactly,
 //! builds each key once, never blocks one key behind another's build and
 //! survives panicking builds.
 
-use racer_cpu::engine::fork_and_run;
 use racer_cpu::workloads::{alu_chain, memory_stream};
 use racer_cpu::{Backend, Countermeasure, Cpu, CpuConfig, RunResult, Snapshot, SnapshotCache};
 use racer_isa::{AluOp, Asm, Cond, Instr, MemOperand, Operand, Program, Reg};
@@ -157,6 +157,17 @@ fn assert_bit_identical(tag: &str, a: &RunResult, b: &RunResult) {
     );
 }
 
+/// `prog` run on a fork of `snap` on a freshly spawned host thread, whose
+/// scheduling contexts no earlier run has touched: the context-free
+/// oracle for runs made on a reused thread.
+fn on_fresh_thread(snap: &Snapshot, prog: &Program) -> RunResult {
+    std::thread::scope(|s| {
+        s.spawn(|| snap.fork().run_one(prog, Backend::EventDriven))
+            .join()
+            .expect("the oracle run succeeds")
+    })
+}
+
 /// A snapshot of a machine warmed on the standard kernels (trained
 /// predictor, populated caches — the state a sweep would fork from).
 fn warmed_snapshot(cfg: CpuConfig) -> Snapshot {
@@ -258,13 +269,14 @@ fn run_many_matches_individual_forks_in_input_order() {
 }
 
 #[test]
-fn fork_and_run_mixes_heterogeneous_fork_sources() {
+fn heterogeneous_fork_sources_run_back_to_back() {
     // Four snapshots with visibly different state: cold, warmed on the
     // ALU kernel, warmed on the streaming kernel, and cold under a
-    // different core config. One call, lanes alternating sources —
-    // including the same program under different sources, which must
-    // share the program's µop table yet diverge in timing, each lane
-    // running under its own source's config.
+    // different core config. Lanes alternate sources on this one host
+    // thread — including the same program under different sources, which
+    // must share the program's µop table yet diverge in timing, each lane
+    // running under its own source's config — and each matches the same
+    // lane run on a fresh thread.
     let cfg = CpuConfig::coffee_lake().with_load_recording();
     let cold = Snapshot::cold(cfg, HierarchyConfig::coffee_lake());
     let warm_alu = {
@@ -283,19 +295,12 @@ fn fork_and_run_mixes_heterogeneous_fork_sources() {
     );
     let sources = [&cold, &warm_alu, &warm_stream, &in_order];
     let progs = gadget_population(0x9E37_79B9, 4);
-
-    let mut lanes = Vec::new();
-    let mut expect = Vec::new();
     for (i, prog) in progs.iter().enumerate() {
-        for src in sources {
-            lanes.push((src, prog));
-            expect.push((i, src.fork().run_one(prog, Backend::EventDriven)));
+        for (k, src) in sources.iter().enumerate() {
+            let got = src.fork().run_one(prog, Backend::EventDriven);
+            let want = on_fresh_thread(src, prog);
+            assert_bit_identical(&format!("source {k}, gadget #{i}"), &got, &want);
         }
-    }
-    let got: Vec<_> = fork_and_run(lanes).collect();
-    assert_eq!(got.len(), expect.len());
-    for (slot, ((i, want), got)) in expect.iter().zip(&got).enumerate() {
-        assert_bit_identical(&format!("lane {slot} (gadget #{i})"), got, want);
     }
     // The sources genuinely differ — otherwise this test proves nothing
     // about heterogeneity: warm state changes the streaming kernel's
@@ -515,11 +520,7 @@ fn counters_lane_matches_loads_lane_except_the_load_log() {
     }
     asm.halt();
     let prog = asm.assemble().expect("magnifier assembles");
-    let lane = |cfg: CpuConfig| {
-        fork_and_run([(&Snapshot::cold(cfg, hier), &prog)])
-            .next()
-            .unwrap()
-    };
+    let lane = |cfg: CpuConfig| Cpu::new(cfg, hier).run_one(&prog, Backend::EventDriven);
 
     let counters = lane(CpuConfig::coffee_lake());
     let mut loads = lane(CpuConfig::coffee_lake().with_load_recording());
@@ -531,68 +532,61 @@ fn counters_lane_matches_loads_lane_except_the_load_log() {
 
 #[test]
 fn reused_thread_context_is_invisible() {
-    // Every call below runs on this test's one host thread, so each lane
-    // runs on whatever scheduling context the thread last parked: one an
-    // abandoned iterator gave back, one sized for another ROB, or a fresh
-    // one while a sibling iterator holds the parked context.
+    // Every run below except the oracles' is made on this test's one host
+    // thread, so each runs on the scheduling contexts the thread's last
+    // run left behind: sized for another ROB, or for a two-thread run.
     let traced = CpuConfig::coffee_lake().with_record_level(racer_cpu::RecordLevel::Trace);
+    let small_cfg = CpuConfig {
+        rob_size: 24,
+        rs_size: 12,
+        ..traced
+    };
     let big = warmed_snapshot(traced);
-    let small = Snapshot::cold(
-        CpuConfig {
-            rob_size: 24,
-            rs_size: 12,
-            ..traced
-        },
-        HierarchyConfig::small_plru(),
-    );
-    let progs = gadget_population(0x4E_05E, 6);
-    let check = |tag: &str, snap: &Snapshot, prog: &Program, got: Option<RunResult>| {
-        let got = got.unwrap_or_else(|| panic!("{tag}: lane missing"));
-        let want = snap.fork().run_one(prog, Backend::EventDriven);
+    let small = Snapshot::cold(small_cfg, HierarchyConfig::small_plru());
+    // Forty gadgets: enough that some runs end with squashed loads still
+    // in the completion wheel, stale entries a reused context must drop.
+    let progs = gadget_population(0x4E_05E, 40);
+    let check = |tag: &str, snap: &Snapshot, prog: &Program| {
+        let got = snap.fork().run_one(prog, Backend::EventDriven);
+        let want = on_fresh_thread(snap, prog);
         assert_eq!(got.mem_stats, want.mem_stats, "{tag}: cache stats diverge");
-        assert!(!want.trace.is_empty(), "{tag}: the lane is traced");
+        assert!(!want.trace.is_empty(), "{tag}: the run is traced");
         assert_eq!(got.trace.len(), want.trace.len(), "{tag}: traces diverge");
         assert_bit_identical(tag, &got, &want);
     };
+    // A two-thread co-run of two gadgets on a cold small-ROB machine.
+    let co_run = || {
+        let mut cpu = Cpu::new(small_cfg.with_threads(2), HierarchyConfig::small_plru());
+        cpu.run(&[&progs[0], &progs[1]], Backend::EventDriven)
+    };
 
-    // A call whose iterator is dropped after one lane, then full calls
-    // on the context it gave back.
-    let mut abandoned = fork_and_run(progs.iter().map(|p| (&big, p)));
-    check("abandoned call", &big, &progs[0], abandoned.next());
-    drop(abandoned);
-    for _ in 0..2 {
-        let runs = fork_and_run(progs.iter().map(|p| (&big, p)));
-        for (i, (prog, got)) in progs.iter().zip(runs).enumerate() {
+    // Single-thread runs alternating between ROB sizes: each run resizes
+    // the ring the previous one left.
+    for (i, prog) in progs.iter().enumerate() {
+        for (name, snap) in [("big", &big), ("small", &small)] {
             check(
-                &format!("after an abandoned call, lane {i}"),
-                &big,
+                &format!("alternating ROB sizes, {name} run {i}"),
+                snap,
                 prog,
-                Some(got),
             );
         }
     }
 
-    // Two live iterators on one thread, advanced alternately: the second
-    // finds the slot empty and must not share the first's context.
-    let mut a = fork_and_run(progs.iter().map(|p| (&big, p)));
-    let mut b = fork_and_run(progs.iter().rev().map(|p| (&small, p)));
-    for (i, (pa, pb)) in progs.iter().zip(progs.iter().rev()).enumerate() {
-        check(&format!("interleaved a, lane {i}"), &big, pa, a.next());
-        check(&format!("interleaved b, lane {i}"), &small, pb, b.next());
+    // Two-thread runs between single-thread runs: the first grows the
+    // pool to two contexts, the second reuses both, and the single-thread
+    // runs after them reuse the first.
+    let fresh = std::thread::scope(|s| s.spawn(co_run).join().expect("the oracle co-run succeeds"));
+    for round in 0..2 {
+        for (tid, (got, want)) in co_run().iter().zip(&fresh).enumerate() {
+            assert_bit_identical(&format!("two-thread run {round}, thread {tid}"), got, want);
+        }
     }
-    assert!(a.next().is_none() && b.next().is_none());
-    drop((a, b));
-
-    // One-lane calls alternating between ROB sizes: each reset resizes
-    // the parked ring.
     for (i, prog) in progs.iter().enumerate() {
         for (name, snap) in [("big", &big), ("small", &small)] {
-            let got = fork_and_run([(snap, prog)]).next();
             check(
-                &format!("alternating ROB sizes, {name} lane {i}"),
+                &format!("after a two-thread run, {name} run {i}"),
                 snap,
                 prog,
-                got,
             );
         }
     }

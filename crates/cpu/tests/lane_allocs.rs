@@ -1,15 +1,14 @@
 //! The allocation budget of a warmed fork-and-run lane.
 //!
 //! A host thread keeps its scheduling context (ROB ring, consumer lists,
-//! completion wheel, ready heaps) across
-//! [`fork_and_run`](racer_cpu::engine::fork_and_run) calls, so once one
-//! call has warmed it, a lane allocates only a fixed handful: the fork's
-//! hierarchy, memory and predictor clones, the divider state, its trace
-//! (reserved once) and its register file. This binary counts heap allocations with its own global
-//! allocator and holds exactly one test, so no sibling test's
+//! completion wheel, ready heaps) across runs, so once one run has warmed
+//! it, a lane — `snap.fork().run_one(..)` — allocates only a fixed
+//! handful: the fork's hierarchy and memory clones, its predictor vector
+//! and table, the divider state, its trace (reserved once) and its
+//! register file. This binary counts heap allocations with its own
+//! global allocator and holds exactly one test, so no sibling test's
 //! allocations land in the count.
 
-use racer_cpu::engine::fork_and_run;
 use racer_cpu::workloads::{alu_chain, timer_race_phased};
 use racer_cpu::{Backend, Cpu, CpuConfig, RecordLevel};
 use racer_mem::HierarchyConfig;
@@ -65,21 +64,21 @@ fn a_warmed_lane_allocates_a_fixed_handful() {
     let progs: Vec<_> = (0..8)
         .map(|i| timer_race_phased(4 + 6 * i, 40 + 25 * i, i % 3).prog)
         .collect();
-    let lanes = || progs.iter().map(|p| (&snap, p));
+    let lane = |p| snap.fork().run_one(p, Backend::EventDriven);
 
-    let warm: Vec<_> = fork_and_run(lanes()).collect();
+    let warm: Vec<_> = progs.iter().map(lane).collect();
     let longest = warm.last().expect("eight lanes");
     assert!(longest.trace.len() > cfg.rob_size && longest.cycles > 512);
 
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut committed = 0;
-    for r in fork_and_run(lanes()) {
-        committed += r.committed;
+    for p in &progs {
+        committed += lane(p).committed;
     }
     let made = ALLOCS.load(Ordering::Relaxed) - before;
 
     let want: u64 = warm.iter().map(|r| r.committed).sum();
-    assert_eq!(committed, want, "the two calls ran the same lanes");
+    assert_eq!(committed, want, "the two passes ran the same lanes");
     let lanes = progs.len() as u64;
     assert!(
         made <= ALLOCS_PER_LANE * lanes,

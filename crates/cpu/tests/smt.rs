@@ -318,9 +318,9 @@ fn multi_port_divider_matches_reference() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The SMT core with `threads = 1` is the single-threaded scheduler:
-    /// for arbitrary programs and every countermeasure mode it matches the
-    /// pre-refactor (reference) scheduler cycle-for-cycle.
+    /// A one-thread run on the multi-context core takes the single-thread
+    /// path: for arbitrary programs and every countermeasure mode it
+    /// matches the reference scheduler cycle-for-cycle.
     #[test]
     fn single_thread_smt_core_matches_reference(
         seed in any::<u64>(),

@@ -221,6 +221,16 @@ fn mitigations_run(ctx: &RunContext) -> Result<ScenarioOutput, LabError> {
             "parameter \"trials\": a cell needs at least one transmission, got 0",
         ));
     }
+    let known = timer_mitigations::TIMER_MODELS;
+    if let Some(t) = timer_refs.iter().find(|t| !known.contains(t)) {
+        return Err(LabError::param(
+            "timer_mitigations_eval",
+            format!(
+                "parameter \"timers\": unknown timer model {t:?}; known: {}",
+                known.join(", ")
+            ),
+        ));
+    }
     let points = timer_mitigations::sweep(&timer_refs, &rounds, trials);
     let mut text = header(
         "timer mitigations",
@@ -250,8 +260,8 @@ fn timer_mitigations_eval() -> Scenario {
             ParamSpec::str_list(
                 "timers",
                 "timer models to sweep",
-                &["5us", "5us+jitter", "fuzzy-5us", "100us", "1ms"],
-                &["5us", "5us+jitter", "fuzzy-5us", "100us", "1ms"],
+                &timer_mitigations::TIMER_MODELS,
+                &timer_mitigations::TIMER_MODELS,
             ),
             ParamSpec::int_list(
                 "rounds",

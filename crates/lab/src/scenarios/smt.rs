@@ -94,24 +94,32 @@ fn mix_table() -> Vec<Mix> {
     ]
 }
 
-fn find_mix(name: &str) -> Mix {
+fn find_mix(name: &str) -> Result<Mix, LabError> {
     mix_table()
         .into_iter()
         .find(|m| m.name == name)
-        .unwrap_or_else(|| {
+        .ok_or_else(|| {
             let known: Vec<&str> = mix_table().iter().map(|m| m.name).collect();
-            panic!(
-                "unknown contender mix {name:?}; known: {}",
-                known.join(", ")
+            LabError::param(
+                "smt_contention_eval",
+                format!(
+                    "parameter \"mixes\": unknown contender mix {name:?}; known: {}",
+                    known.join(", ")
+                ),
             )
         })
 }
 
-fn parse_policy(name: &str) -> SmtPolicy {
+fn parse_policy(name: &str) -> Result<SmtPolicy, LabError> {
     match name {
-        "round-robin" => SmtPolicy::RoundRobin,
-        "icount" => SmtPolicy::Icount,
-        other => panic!("unknown SMT policy {other:?}; known: round-robin, icount"),
+        "round-robin" => Ok(SmtPolicy::RoundRobin),
+        "icount" => Ok(SmtPolicy::Icount),
+        other => Err(LabError::param(
+            "smt_contention_eval",
+            format!(
+                "parameter \"policy\": unknown SMT policy {other:?}; known: round-robin, icount"
+            ),
+        )),
     }
 }
 
@@ -283,9 +291,12 @@ fn run(ctx: &RunContext) -> Result<ScenarioOutput, LabError> {
     let targets = ctx.params.usize_list("targets");
     let clock_max = ctx.params.usize("clock_max");
     let trials = ctx.params.usize("trials");
-    let policy = parse_policy(ctx.params.str("policy"));
+    let policy = parse_policy(ctx.params.str("policy"))?;
 
-    let specs: Vec<Mix> = mixes.iter().map(|m| find_mix(m)).collect();
+    let specs = mixes
+        .iter()
+        .map(|m| find_mix(m))
+        .collect::<Result<Vec<Mix>, _>>()?;
     // Independent deterministic simulations: fan the mixes out across
     // host cores (order-preserving).
     let results = racer_cpu::batch::par_map(&specs, |mix| {
@@ -428,7 +439,7 @@ mod tests {
 
     fn quick_eval(mix_name: &str, targets: &[usize], trials: usize) -> MixResult {
         evaluate_mix(
-            &find_mix(mix_name),
+            &find_mix(mix_name).expect("a known mix"),
             SmtPolicy::RoundRobin,
             targets,
             64,
@@ -484,15 +495,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown contender mix")]
     fn unknown_mix_is_rejected() {
-        find_mix("cryptominer");
+        let err = find_mix("cryptominer")
+            .err()
+            .expect("an unknown mix is an error");
+        assert_eq!(err.kind(), "param");
+        assert!(
+            err.to_string().contains("alu-sat"),
+            "names the known mixes: {err}"
+        );
     }
 
     #[test]
     fn policies_parse() {
-        assert_eq!(parse_policy("round-robin"), SmtPolicy::RoundRobin);
-        assert_eq!(parse_policy("icount"), SmtPolicy::Icount);
+        assert_eq!(
+            parse_policy("round-robin").ok(),
+            Some(SmtPolicy::RoundRobin)
+        );
+        assert_eq!(parse_policy("icount").ok(), Some(SmtPolicy::Icount));
+        assert_eq!(parse_policy("bogus").err().map(|e| e.kind()), Some("param"));
     }
 
     #[test]

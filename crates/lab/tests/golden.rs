@@ -324,3 +324,38 @@ fn empty_list_overrides_are_param_errors() {
     }
     std::fs::remove_dir_all(&tmp).ok();
 }
+
+/// A string parameter naming something the scenario does not know — an
+/// SMT policy, a contender mix, a timer model — is a parameter error
+/// (exit 5) naming the parameter and the known values, raised before any
+/// simulation, not a scenario panic.
+#[test]
+fn unknown_names_in_string_parameters_are_param_errors() {
+    let bin = env!("CARGO_BIN_EXE_racer-lab");
+    let tmp = std::env::temp_dir().join(format!("racer-lab-names-{}", std::process::id()));
+    for (scenario, param, value, known) in [
+        (
+            "smt_contention_eval",
+            "policy",
+            "bogus",
+            "round-robin, icount",
+        ),
+        ("smt_contention_eval", "mixes", "cryptominer", "alu-sat"),
+        ("timer_mitigations_eval", "timers", "bogus", "fuzzy-5us"),
+    ] {
+        let out = Command::new(bin)
+            .args(["run", scenario, "--quick", "--set"])
+            .arg(format!("{param}={value}"))
+            .arg("--out")
+            .arg(&tmp)
+            .output()
+            .expect("spawn racer-lab");
+        assert_eq!(out.status.code(), Some(5), "{scenario} {param}={value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("parameter \"{param}\"")) && stderr.contains(known),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&tmp).ok();
+}

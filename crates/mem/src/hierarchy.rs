@@ -106,7 +106,9 @@ impl HierarchyConfig {
 
     /// A small hierarchy (4-way PLRU L1 with 16 sets) used by the PLRU
     /// magnifier experiments, matching the paper's W = 4 illustration in
-    /// Figures 3 and 4.
+    /// Figures 3 and 4. It substitutes for the evaluation machines' 8-way
+    /// L1: the magnifiers' access patterns are written for W = 4, and
+    /// every other level is Coffee Lake's.
     pub fn small_plru() -> Self {
         let mut cfg = Self::coffee_lake();
         cfg.l1d = CacheConfig {
